@@ -21,12 +21,11 @@ aggregate counters incrementally, while the predecoded fast path keeps
 per-pc event arrays that only fold into aggregates at halt — the two
 in-flight representations are not interconvertible mid-run, so a
 snapshot resumes on the engine that took it (a mismatch raises
-:class:`SnapshotError` instead of silently diverging).  The batching
-engines degrade: requesting ``checkpoint_at``/``resume_from`` on the
-``compiled`` or ``ooo`` engine runs the predecoded stepper whole-run,
-mirroring how fault injection degrades (docs/resilience.md) — the
-in-order trio is bit-identical, and the OoO engine keeps its committed
-view through :func:`repro.arch.machine.committed_view`.
+:class:`SnapshotError` instead of silently diverging).  The OoO engine
+degrades: requesting ``checkpoint_at``/``resume_from`` on ``ooo`` runs
+the predecoded stepper whole-run, mirroring how fault injection
+degrades (docs/resilience.md) — the committed view
+(:func:`repro.arch.machine.committed_view`) is the same either way.
 
 On-disk form: canonical JSON with the 4 MiB memory image (and the fast
 engine's per-pc arrays) zlib-compressed and base64-armored, written

@@ -100,16 +100,16 @@ class SimResult:
 
 
 #: recognized values for ``Machine(engine=...)`` / ``REPRO_MACHINE_ENGINE``
-ENGINES = ("legacy", "fast", "compiled", "ooo")
+ENGINES = ("legacy", "fast", "ooo")
 
 #: engines whose results are bit-identical in *every* SimResult field —
 #: the in-order timing model.  The ``ooo`` engine shares the committed
 #: architectural contract (:data:`COMMITTED_FIELDS`) but has its own
 #: cycle/energy model.
-INORDER_ENGINES = ("legacy", "fast", "compiled")
+INORDER_ENGINES = ("legacy", "fast")
 
 #: SimResult fields in the engine-independent architectural contract
-#: (docs/engines.md): identical across all four engines, bit-for-bit.
+#: (docs/engines.md): identical across all three engines, bit-for-bit.
 #: ``cycles``, the energy ``counters`` and the ``obs``/``ooo`` samples
 #: are timing-model state and deliberately excluded.
 COMMITTED_FIELDS = (
@@ -143,25 +143,24 @@ def committed_view(sim: SimResult) -> dict:
 
 def default_engine() -> str:
     """The engine a ``Machine(engine=None)`` run resolves to from the
-    environment alone, ignoring per-run overrides (``obs``, ``fast=``,
-    trace hooks).  Used by cache layers to partition on timing model."""
+    environment alone (``REPRO_MACHINE_ENGINE``, else ``fast``), ignoring
+    the per-run ``obs`` and ``trace_hook`` rules.  Used by cache layers
+    to partition on timing model."""
     env = os.environ.get("REPRO_MACHINE_ENGINE", "").strip().lower()
-    if env:
-        if env not in ENGINES:
-            raise ValueError(
-                f"REPRO_MACHINE_ENGINE={env!r}: expected one of {ENGINES}"
-            )
-        return env
-    if os.environ.get("REPRO_MACHINE_LEGACY", "") == "1":
-        return "legacy"
-    return "fast"
+    if not env:
+        return "fast"
+    if env not in ENGINES:
+        raise ValueError(
+            f"REPRO_MACHINE_ENGINE={env!r}: expected one of {ENGINES}"
+        )
+    return env
 
 
 def timing_model(engine: Optional[str]) -> str:
     """``"inorder"``, or ``"ooo:..."`` with the resolved structure sizes
     when the (resolved) engine carries its own cycle/energy model.  The
     bench disk cache partitions its keys on this — in-order records stay
-    interchangeable across the three bit-identical engines, while OoO
+    interchangeable across the two bit-identical engines, while OoO
     records never alias them *or* each other across different
     ``REPRO_OOO_*`` geometries (an 8-entry-ROB run must not serve a
     48-entry lookup).  DSE documents stamp the same string as their
@@ -176,7 +175,7 @@ def timing_model(engine: Optional[str]) -> str:
 
 
 def parse_engine_list(spec: str) -> tuple:
-    """Parse a comma-separated engine selection (``"fast,compiled"``).
+    """Parse a comma-separated engine selection (``"fast,ooo"``).
 
     The shared validator behind every engine-list surface (the pytest
     ``--engines`` option, CLI flags): unknown names and empty selections
@@ -201,37 +200,31 @@ def parse_engine_list(spec: str) -> tuple:
 class Machine:
     """Executes a :class:`LinkedProgram`.
 
-    Three execution engines produce bit-identical results (the contract
-    is documented in docs/engines.md and enforced differentially by
+    Three execution engines share one committed-state contract (documented
+    in docs/engines.md and enforced differentially by
     ``tests/test_engine_equivalence.py``):
 
-    * the *fast path* (default): the program is predecoded once into dense
+    * ``fast`` (the default): the program is predecoded once into dense
       tuples with an integer-dispatch loop and batched energy counters
       (:mod:`repro.arch.predecode`);
-    * the *compiled engine*: a block-specialized template JIT that
-      translates the predecoded program into straight-line Python per
-      basic-block region (:mod:`repro.arch.compiled`); select it with
-      ``engine="compiled"`` or ``REPRO_MACHINE_ENGINE=compiled``;
-    * the *legacy path*: the original instruction-at-a-time interpreter,
-      kept as the differential-testing reference and used automatically
-      when a ``trace_hook`` needs per-step callbacks;
-    * the *ooo engine*: an R10K-style out-of-order core model
-      (:mod:`repro.arch.ooo`) — bit-identical in the committed
-      architectural contract (:data:`COMMITTED_FIELDS`) but with its own
-      cycle count and energy events; select it with ``engine="ooo"`` or
-      ``REPRO_MACHINE_ENGINE=ooo``.
+    * ``legacy``: the reference instruction-at-a-time stepper, bit-identical
+      to ``fast`` in every field and the only engine with per-step
+      ``trace_hook`` callbacks;
+    * ``ooo``: an R10K-style out-of-order core model (:mod:`repro.arch.ooo`)
+      — bit-identical in the committed architectural contract
+      (:data:`COMMITTED_FIELDS`) but with its own cycle count and energy
+      events.
 
     Engine selection precedence: an explicit ``engine=`` argument, then
-    the boolean ``fast=`` compatibility argument, then the
-    ``REPRO_MACHINE_ENGINE`` environment variable, then the historical
-    defaults (``fast=None`` selects the fast path unless a trace hook is
-    installed or ``REPRO_MACHINE_LEGACY=1`` is set in the environment).
+    the per-run rules (``obs=True`` selects ``fast``, a ``trace_hook``
+    selects ``legacy``), then ``REPRO_MACHINE_ENGINE``, then ``fast``.
 
     ``obs=True`` attaches a per-pc event sample to ``SimResult.obs`` for
-    :mod:`repro.obs`.  Observability is a fast-path feature: the sample
-    is the loop's own batched per-pc counters, so it forces the fast
-    engine rather than falling back to the legacy interpreter (the two
-    engines are bit-identical, so this never changes results).
+    :mod:`repro.obs`.  The sample is the fast loop's own batched per-pc
+    counters, so observability runs on the fast engine: an explicit
+    ``legacy`` degrades to it whole-run (the two are bit-identical, so
+    this never changes results), and ``ooo`` does the same unless a
+    native OoO fault kind is armed (:func:`repro.arch.ooo.run_ooo`).
     """
 
     def __init__(
@@ -241,7 +234,6 @@ class Machine:
         *,
         step_limit: int = 400_000_000,
         trace_hook=None,
-        fast: Optional[bool] = None,
         obs: bool = False,
         geometry: Optional[CacheGeometry] = None,
         faults=None,
@@ -262,43 +254,30 @@ class Machine:
         self.geometry = geometry
         #: optional debug callback: trace_hook(pc, regs) before each step
         self.trace_hook = trace_hook
-        self.fast = fast
         #: collect a per-pc PcSample on SimResult.obs (fast path only)
         self.obs = obs
         if engine is not None and engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}: expected one of {ENGINES}"
             )
-        #: explicit engine selection ("legacy" / "fast" / "compiled");
-        #: None resolves at run() time (env vars, fast=, obs, trace_hook)
+        #: explicit engine selection (one of :data:`ENGINES`); None
+        #: resolves at run() time (obs, trace_hook, environment)
         self.engine = engine
 
     def resolve_engine(self) -> str:
-        """The engine :meth:`run` will use, after all defaulting rules."""
+        """The selected engine, after all defaulting rules.
+
+        :meth:`run` may still degrade a request the engine cannot serve
+        to ``fast`` whole-run: ``obs`` on ``legacy``, checkpoint/resume
+        on ``ooo``.
+        """
         if self.engine is not None:
             return self.engine
-        if self.fast is True:
-            return "fast"
-        if self.fast is False:
-            return "legacy"
-        env = os.environ.get("REPRO_MACHINE_ENGINE", "").strip().lower()
-        if env:
-            if env not in ENGINES:
-                raise ValueError(
-                    f"REPRO_MACHINE_ENGINE={env!r}: expected one of {ENGINES}"
-                )
-            if env in ("legacy", "ooo") and self.obs:
-                # obs is a batching-path feature; the env default cannot
-                # force an engine that cannot produce a PcSample
-                return "fast"
-            return env
         if self.obs:
             return "fast"
         if self.trace_hook is not None:
             return "legacy"
-        if os.environ.get("REPRO_MACHINE_LEGACY", "") == "1":
-            return "legacy"
-        return "fast"
+        return default_engine()
 
     def run(self, *, checkpoint_at=None, resume_from=None) -> SimResult:
         """Execute the program; returns a :class:`SimResult`.
@@ -309,9 +288,9 @@ class Machine:
         SimResult when the program halts first); ``resume_from``
         continues a snapshot.  ``run(checkpoint_at=N)`` +
         ``run(resume_from=snap)`` is bit-identical to one uninterrupted
-        run (docs/resilience.md).  The ``compiled`` and ``ooo`` engines
-        have no mid-run boundary and degrade to the predecoded stepper
-        whole-run, exactly as fault injection does.
+        run (docs/resilience.md).  The ``ooo`` engine has no mid-run
+        boundary and degrades to the predecoded stepper whole-run,
+        exactly as fault injection does.
         """
         engine = self.resolve_engine()
         if checkpoint_at is not None or resume_from is not None:
@@ -323,33 +302,26 @@ class Machine:
                 )
             if checkpoint_at is not None and checkpoint_at < 0:
                 raise ValueError("checkpoint_at must be >= 0")
-            if engine in ("compiled", "ooo"):
-                # degradation ladder: the batching/OoO engines cannot
-                # stop at an instruction boundary; the predecoded
-                # stepper is bit-identical in the committed contract
+            if engine == "ooo":
+                # degradation ladder: the OoO engine cannot stop at an
+                # instruction boundary; the predecoded stepper is
+                # bit-identical in the committed contract
                 engine = "fast"
-        if engine == "compiled":
-            if self.trace_hook is not None:
-                raise ValueError("trace_hook requires the legacy path")
-            from repro.arch.compiled import run_compiled
-
-            return run_compiled(self)
+        if engine == "legacy" and self.obs:
+            # only the fast loop produces a per-pc sample
+            engine = "fast"
+        if engine != "legacy" and self.trace_hook is not None:
+            raise ValueError("trace_hook requires the legacy path")
         if engine == "ooo":
-            if self.trace_hook is not None:
-                raise ValueError("trace_hook requires the legacy path")
             from repro.arch.ooo import run_ooo
 
             return run_ooo(self)
         if engine == "fast":
-            if self.trace_hook is not None:
-                raise ValueError("trace_hook requires the legacy path")
             from repro.arch.predecode import run_fast
 
             return run_fast(
                 self, checkpoint_at=checkpoint_at, resume_from=resume_from
             )
-        if self.obs:
-            raise ValueError("obs=True requires the predecoded fast path")
         return self._run_legacy(
             checkpoint_at=checkpoint_at, resume_from=resume_from
         )

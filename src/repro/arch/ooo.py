@@ -1,4 +1,4 @@
-"""R10K-style out-of-order engine: the fourth machine engine.
+"""R10K-style out-of-order engine: the timing-model machine engine.
 
 The paper measures BITSPEC on an in-order 6-stage core; this module asks
 whether per-variable bitwidth speculation survives the machinery every
@@ -11,7 +11,7 @@ architecturally correct path in program order, transcribing the legacy
 interpreter's semantics op for op, which is what makes the committed
 contract (:data:`repro.arch.machine.COMMITTED_FIELDS` — traps, the out
 stream, memory/globals, instruction and misspeculation counts) bit-identical
-to the legacy/fast/compiled engines on every program.  Around that committed
+to the legacy/fast engines on every program.  Around that committed
 spine it keeps the real OoO structures and lets *them* produce the timing:
 
 * every architectural register (r0–r15 plus the renamed flags: the
@@ -57,7 +57,7 @@ Fault hooks: the engine consults a fault session only at recovery time
 (:meth:`repro.faults.session.FaultSession.recovery_action`) for the two
 OoO-native kinds — rename-checkpoint corruption and flush suppression.
 Any other fault kind (and any ``obs=True`` run) degrades to the
-predecoded stepper, exactly as the compiled engine does, so the generic
+predecoded stepper, exactly as checkpoint/resume does, so the generic
 campaign classification stays engine-invariant.
 """
 

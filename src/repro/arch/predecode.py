@@ -984,10 +984,9 @@ def fold_result(
     form of the same derivation lives in :func:`pc_counters`; the
     conservation tests in tests/test_obs.py pin the two together.
 
-    Shared by the predecoded stepper (:func:`run_fast`) and the compiled
-    engine (:mod:`repro.arch.compiled`): both record the same nine per-pc
-    arrays, so aggregation is literally the same code path and cannot
-    drift between engines.
+    Called by the predecoded stepper (:func:`run_fast`) at halt; resumed
+    snapshots carry the same nine per-pc arrays, so a checkpointed run
+    aggregates through the same code path as an uninterrupted one.
     """
     from repro.arch.machine import SimResult
 

@@ -6,7 +6,6 @@ Examples::
     python -m repro.bench --roster full --configs baseline,bitspec-max \\
         --jobs 8 --cache-dir .benchcache --output BENCH_full.json
     python -m repro.bench --roster mini --jobs 1 --no-cache   # cold reference
-    python -m repro.bench --roster full --compare-engines fast,compiled
 
 The emitted JSON is the repo's perf record: wall-clock for the whole
 campaign, per-workload simulation time, cache hit rate, and simulated
@@ -14,12 +13,9 @@ instructions per second.  See DESIGN.md ("The bench harness") for how to
 read it.
 
 ``--engine`` runs the whole matrix under one simulation engine
-("legacy" / "fast" / "compiled"); engines are bit-identical, so this
-changes throughput, not results.  ``--compare-engines`` switches to a
-single-process interleaved A/B timing mode (see
-:mod:`repro.bench.compare`) and emits a ``compare`` report instead of a
-matrix report — this is how the committed engine-speedup BENCH json is
-produced.
+("legacy" / "fast" / "ooo").  The in-order engines are bit-identical,
+so between them this changes throughput, not results; ``ooo`` reports
+its own cycle/energy model.
 """
 
 from __future__ import annotations
@@ -30,6 +26,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.arch.machine import ENGINES
 from repro.bench.executor import BenchTask, run_matrix
 from repro.core.pipeline import CompilerConfig
 from repro.eval.harness import BENCHMARKS
@@ -109,41 +106,6 @@ def summarize(outcomes, stats, *, roster, configs, jobs, cache_dir, engine=None)
     }
 
 
-def _run_compare(args, workloads, config, engines) -> int:
-    from repro.bench.compare import compare_engines
-
-    def ticker(workload, engine, seconds):
-        if args.quiet:
-            return
-        print(f"{workload}/{engine}: {seconds:.3f}s", flush=True)
-
-    body = compare_engines(
-        workloads, config, engines, repeats=args.repeats, progress=ticker
-    )
-    report = {
-        "schema": 1,
-        "generated": datetime.datetime.now().isoformat(timespec="seconds"),
-        "roster": list(workloads),
-        **body,
-    }
-    output = args.output or Path(
-        f"BENCH_{datetime.date.today().isoformat()}.json"
-    )
-    output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-    reference = body["reference"]
-    agg = body["aggregate"]["engines"]
-    for engine in engines:
-        line = (
-            f"{engine:8s} {agg[engine]['instructions_per_second']:,.0f} inst/s"
-        )
-        if engine != reference:
-            line += f"  ({agg[engine]['speedup']:.2f}x vs {reference})"
-        print(line, flush=True)
-    print(f"wrote {output}", flush=True)
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -195,23 +157,10 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true", help="no per-task ticker")
     parser.add_argument(
         "--engine",
-        choices=("legacy", "fast", "compiled", "ooo"),
+        choices=ENGINES,
         default=None,
         help="run the whole matrix under one simulation engine (ooo uses "
         "its own cycle/energy model and a separate disk-cache partition)",
-    )
-    parser.add_argument(
-        "--compare-engines",
-        default=None,
-        metavar="ENGINES",
-        help="comma-separated engine list (first = reference); switches to "
-        "single-process interleaved A/B timing and emits a compare report",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timing rounds per cell in --compare-engines mode (default: 3)",
     )
     args = parser.parse_args(argv)
 
@@ -228,17 +177,6 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown configs: {', '.join(unknown)}")
     configs = [CONFIG_FACTORIES[c]() for c in config_names]
-
-    if args.compare_engines:
-        engines = tuple(
-            e.strip() for e in args.compare_engines.split(",") if e.strip()
-        )
-        unknown = [e for e in engines if e not in ("legacy", "fast", "compiled", "ooo")]
-        if unknown:
-            parser.error(f"unknown engines: {', '.join(unknown)}")
-        if len(engines) < 2:
-            parser.error("--compare-engines needs at least two engines")
-        return _run_compare(args, workloads, configs[0], engines)
 
     cache_dir = None if args.no_cache else args.cache_dir
     tasks = build_tasks(workloads, configs, max(args.seeds, 1), engine=args.engine)

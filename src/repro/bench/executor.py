@@ -49,9 +49,9 @@ class BenchTask:
     profile_seed: int = 0
     run_kind: str = "test"
     run_seed: int = 0
-    #: simulation engine ("legacy" / "fast" / "compiled"; None = default
-    #: resolution).  Engines are bit-identical, so this changes *how* the
-    #: cell simulates, never what it reports.
+    #: simulation engine ("legacy" / "fast" / "ooo"; None = default
+    #: resolution).  The in-order engines are bit-identical, so between
+    #: them this changes *how* the cell simulates, never what it reports.
     engine: Optional[str] = None
 
     def label(self) -> str:

@@ -236,16 +236,14 @@ class CompiledBinary:
         """Simulate on the architecture model with the given inputs.
 
         ``obs=True`` attaches a per-pc :class:`repro.obs.events.PcSample`
-        to ``SimResult.obs``.  The sample comes from the batching
-        engines' own per-pc counters, so obs selects the fast engine
-        (never a ``_run_legacy`` fallback — the engines are bit-identical,
-        so ``REPRO_MACHINE_LEGACY`` is ignored for obs runs) unless an
-        explicit ``engine`` says otherwise.
+        to ``SimResult.obs``.  The sample comes from the fast engine's own
+        per-pc counters, so obs selects the fast engine unless an explicit
+        ``engine`` says otherwise.
 
-        ``engine`` picks the execution engine ("legacy" / "fast" /
-        "compiled"); None defers to ``REPRO_MACHINE_ENGINE`` and the
-        historical defaults.  All engines produce bit-identical results
-        (docs/engines.md).
+        ``engine`` picks the execution engine (one of
+        :data:`repro.arch.machine.ENGINES`); None defers to the
+        :class:`~repro.arch.machine.Machine` selection rules.  The engines
+        agree on committed state (docs/engines.md).
 
         ``faults`` attaches a :class:`repro.faults.FaultSession` to the
         machine; ``step_limit`` overrides the default watchdog (fault
@@ -261,7 +259,6 @@ class CompiledBinary:
             kwargs["step_limit"] = step_limit
         machine = Machine(
             self.linked, self.module, obs=obs, engine=engine,
-            fast=True if (obs and engine is None) else None,
             geometry=self.config.cache_geometry(), faults=faults, **kwargs,
         )
         result = machine.run()

@@ -130,16 +130,16 @@ def run(
 ) -> RunRecord:
     """Compile + simulate (memoized); checks output against the oracle.
 
-    ``engine`` selects the simulation engine ("legacy" / "fast" /
-    "compiled" / "ooo"; default lets :class:`~repro.arch.machine.Machine`
-    resolve).  The in-order engines are bit-identical (docs/engines.md,
+    ``engine`` selects the simulation engine ("legacy" / "fast" / "ooo";
+    default lets :class:`~repro.arch.machine.Machine` resolve).  The
+    in-order engines are bit-identical (docs/engines.md,
     ``tests/test_engine_equivalence.py``), so the engine itself is
     excluded from the disk-cache key — in-order records are
     interchangeable across those engines.  What *does* partition the
     disk key is :func:`~repro.arch.machine.timing_model`: ooo-engine
     records carry different cycles/counters and must never serve an
     in-order lookup.  The engine enters the in-process memo key so that
-    engine-comparison harness code measuring a specific engine is not
+    a run requested on a specific engine (the cross-engine tests) is not
     short-circuited by a record produced under another one.
     """
     from repro.arch.machine import timing_model

@@ -197,9 +197,11 @@ def run_injection(
 ) -> dict:
     """Replay one faulted run and classify it against the golden run.
 
-    ``engine`` selects the simulation engine for the faulted run.  Fault
-    hooks degrade the compiled engine to the predecoded stepper for the
-    whole run (docs/engines.md), so classification is engine-invariant;
+    ``engine`` selects the simulation engine for the faulted run.  The
+    in-order engines consult the fault session at the same sites, and
+    the ooo engine degrades generic fault kinds to the predecoded stepper
+    for the whole run (docs/engines.md), so classification is
+    engine-invariant;
     the engine is deliberately *not* recorded in the returned record —
     FAULTS documents must be byte-identical across engines
     (``tests/test_faults.py`` parity grid).

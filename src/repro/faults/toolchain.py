@@ -23,9 +23,12 @@ Stages checked by the pipeline: ``squeeze``, ``verify``, ``layout``
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
-#: active injection set: {(function_name, stage)}; empty = disabled
-_ACTIVE: set = set()
+#: active injection set of this context: {(function_name, stage)};
+#: empty = disabled.  Context-local, so an armed fault never reaches a
+#: compile running in another thread.
+_ACTIVE: ContextVar[frozenset] = ContextVar("compile_faults", default=frozenset())
 
 
 class InjectedCompileFault(Exception):
@@ -36,20 +39,20 @@ class InjectedCompileFault(Exception):
 def inject_compile_faults(faults):
     """Arm ``{(function, stage)}`` injections for the enclosed compiles.
 
-    Not reentrant-safe across threads (the pipeline itself is not either);
-    nested contexts compose by union.
+    The arming is local to the current thread (context); nested contexts
+    compose by union.
     """
-    added = {tuple(f) for f in faults} - _ACTIVE
-    _ACTIVE.update(added)
+    token = _ACTIVE.set(_ACTIVE.get() | {tuple(f) for f in faults})
     try:
         yield
     finally:
-        _ACTIVE.difference_update(added)
+        _ACTIVE.reset(token)
 
 
 def maybe_fail(stage: str, function: str) -> None:
     """Raise :class:`InjectedCompileFault` if (function, stage) is armed."""
-    if _ACTIVE and ((function, stage) in _ACTIVE or ("*", stage) in _ACTIVE):
+    active = _ACTIVE.get()
+    if active and ((function, stage) in active or ("*", stage) in active):
         raise InjectedCompileFault(
             f"injected {stage} fault in {function}()"
         )
@@ -79,8 +82,8 @@ BEND_KINDS = (
     "handler-misroute", # Δ-skeleton branch wired to another region's handler
 )
 
-#: active bend: ``(kind, function, seed)`` or None
-_BEND = None
+#: active bend of this context: ``(kind, function, seed)`` or None
+_BEND: ContextVar = ContextVar("compiler_bend", default=None)
 
 
 @contextmanager
@@ -89,17 +92,16 @@ def bend_compiler(kind: str, function: str = "*", seed: int = 0):
 
     ``function`` restricts candidates to one function's instructions
     (``"*"`` = anywhere); ``seed`` deterministically picks among the
-    candidate sites.  Nesting replaces the active bend for the inner scope.
+    candidate sites.  Nesting replaces the active bend for the inner scope;
+    the arming is local to the current thread (context).
     """
-    global _BEND
     if kind not in BEND_KINDS:
         raise ValueError(f"unknown bend kind {kind!r}; expected {BEND_KINDS}")
-    previous = _BEND
-    _BEND = (kind, function, seed)
+    token = _BEND.set((kind, function, seed))
     try:
         yield
     finally:
-        _BEND = previous
+        _BEND.reset(token)
 
 
 def maybe_bend_linked(linked) -> list:
@@ -110,9 +112,10 @@ def maybe_bend_linked(linked) -> list:
     candidate site matched.  Called by ``repro.core.pipeline`` as the last
     link step.
     """
-    if _BEND is None or linked.isa != "ARM_BS":
+    bend = _BEND.get()
+    if bend is None or linked.isa != "ARM_BS":
         return []
-    kind, function, seed = _BEND
+    kind, function, seed = bend
     owner = linked.owner
     world = linked.debug.world
     insts = linked.insts

@@ -12,14 +12,14 @@ level                   what executes
 ``machine-baseline``    compiled ARM binary on ``repro.arch.machine``
 ``machine-bitspec-T``   compiled ARM_BS binary, T ∈ {max,avg,min}
 ``machine-thumb``       compiled THUMB binary
-``engines``             the T=MAX binary on the legacy, compiled and ooo engines
+``engines``             the T=MAX binary on the legacy and ooo engines
 ======================  =====================================================
 
-The ``engines`` level is the fuzzing arm of the four-engine contract
-(docs/engines.md): the T=MAX binary is re-run on the legacy interpreter
-and the compiled template JIT, and every ``SimResult`` field —
-aggregates, energy counters, class counts, final memory image — must
-equal the fast path's, not just the ``out()`` stream.  The out-of-order
+The ``engines`` level is the fuzzing arm of the three-engine contract
+(docs/engines.md): the T=MAX binary is re-run on the legacy reference
+stepper, and every ``SimResult`` field — aggregates, energy counters,
+class counts, final memory image — must equal the fast path's, not just
+the ``out()`` stream.  The out-of-order
 engine then re-runs the same binary and its *committed view*
 (:func:`repro.arch.machine.committed_view` — traps, out stream, memory,
 committed instruction/misspeculation counts) must match; its cycles and
@@ -173,43 +173,41 @@ def _check_energy(report: OracleReport, level: str, sim) -> None:
 
 
 def _check_engines(report: OracleReport, binary, inputs, fast_sim) -> None:
-    """The ``engines`` oracle level: the four-engine contract.
+    """The ``engines`` oracle level: the three-engine contract.
 
-    Re-runs the T=MAX binary on the legacy interpreter and the compiled
-    template JIT and requires every :class:`SimResult` field — not just
-    the ``out()`` stream — to equal the fast path's; then re-runs it on
-    the out-of-order engine and requires committed-view equality.
+    Re-runs the T=MAX binary on the legacy reference stepper and requires
+    every :class:`SimResult` field — not just the ``out()`` stream — to
+    equal the fast path's; then re-runs it on the out-of-order engine and
+    requires committed-view equality.
     """
     import dataclasses
 
-    for engine in ("legacy", "compiled"):
-        sim = binary.run(inputs, engine=engine)
-        for f in dataclasses.fields(type(fast_sim)):
-            if f.name in ("counters", "memory", "obs"):
-                continue
-            a, b = getattr(sim, f.name), getattr(fast_sim, f.name)
-            if a != b:
-                report.invariant_failures.append(
-                    f"engines: {engine} SimResult.{f.name} {a!r} != fast {b!r}"
-                )
-        for f in dataclasses.fields(type(fast_sim.counters)):
-            a = getattr(sim.counters, f.name)
-            b = getattr(fast_sim.counters, f.name)
-            if a != b:
-                report.invariant_failures.append(
-                    f"engines: {engine} counters.{f.name} {a!r} != fast {b!r}"
-                )
-        if (
-            sim.memory is not None
-            and fast_sim.memory is not None
-            and sim.memory.data != fast_sim.memory.data
-        ):
+    sim = binary.run(inputs, engine="legacy")
+    for f in dataclasses.fields(type(fast_sim)):
+        if f.name in ("counters", "memory", "obs"):
+            continue
+        a, b = getattr(sim, f.name), getattr(fast_sim, f.name)
+        if a != b:
             report.invariant_failures.append(
-                f"engines: {engine} final memory image differs from fast"
+                f"engines: legacy SimResult.{f.name} {a!r} != fast {b!r}"
             )
-        if engine == "compiled":
-            report.outputs["engines"] = sim.output
-            report.misspeculations["engines"] = sim.misspeculations
+    for f in dataclasses.fields(type(fast_sim.counters)):
+        a = getattr(sim.counters, f.name)
+        b = getattr(fast_sim.counters, f.name)
+        if a != b:
+            report.invariant_failures.append(
+                f"engines: legacy counters.{f.name} {a!r} != fast {b!r}"
+            )
+    if (
+        sim.memory is not None
+        and fast_sim.memory is not None
+        and sim.memory.data != fast_sim.memory.data
+    ):
+        report.invariant_failures.append(
+            "engines: legacy final memory image differs from fast"
+        )
+    report.outputs["engines"] = sim.output
+    report.misspeculations["engines"] = sim.misspeculations
 
     # the ooo lane: committed architectural contract only
     from repro.arch.machine import committed_view

@@ -1,11 +1,13 @@
 """LLVM ``-stats``-style pass counters.
 
-Passes report what they did through a process-wide *scoped* registry:
+Passes report what they did through a context-local *scoped* registry:
 :func:`collecting` opens a scope, :func:`bump` adds to a named counter of
 the innermost open scope, and the scope's dict is the result.  When no
-scope is open, :func:`bump` is a no-op costing one truthiness check — so
+scope is open, :func:`bump` is a no-op costing one context lookup — so
 instrumented passes pay nothing outside of collection, and nothing needs
-to be threaded through pass signatures.
+to be threaded through pass signatures.  The scope lives in a
+:class:`contextvars.ContextVar`, so compiles running concurrently in
+different threads (serve's inline mode) each count into their own scope.
 
 The pipeline (:func:`repro.core.pipeline.compile_binary`) wraps the whole
 compilation in a scope and stores the snapshot on
@@ -21,9 +23,11 @@ Keep both lowercase-with-underscores.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Optional
 
-#: stack of open collection scopes (innermost last)
-_SCOPES: list[dict] = []
+#: the innermost open collection scope of this context (None: not collecting)
+_SCOPE: ContextVar[Optional[dict]] = ContextVar("pass_stats_scope", default=None)
 
 
 @contextmanager
@@ -35,18 +39,19 @@ def collecting():
     does not pollute its parent.
     """
     scope: dict = {}
-    _SCOPES.append(scope)
+    token = _SCOPE.set(scope)
     try:
         yield scope
     finally:
-        _SCOPES.pop()
+        _SCOPE.reset(token)
 
 
 def bump(pass_name: str, counter: str, amount: int = 1) -> None:
     """Add ``amount`` to ``pass_name.counter`` in the innermost scope."""
-    if not _SCOPES or not amount:
+    scope = _SCOPE.get()
+    if scope is None or not amount:
         return
-    counters = _SCOPES[-1].setdefault(pass_name, {})
+    counters = scope.setdefault(pass_name, {})
     counters[counter] = counters.get(counter, 0) + amount
 
 

@@ -289,11 +289,6 @@ def execute_request(canonical: dict, key: str) -> dict:
     # on the default engine and adds a committed-state cross-check below
     requested_engine = canonical.get("engine")
     sim_engine = requested_engine if requested_engine in INORDER_ENGINES else None
-    if sim_engine == "legacy" and opts["attribution"]:
-        # same rule as resolve_engine's env defaulting: the legacy
-        # interpreter cannot produce a PcSample, and the engines are
-        # bit-identical anyway
-        sim_engine = "fast"
 
     # 1. frontend pre-pass: surface parse errors and bad input bindings
     # as their own error classes before burning a full compile
@@ -342,7 +337,7 @@ def execute_request(canonical: dict, key: str) -> dict:
             ],
         )
 
-    # 3b. engine='ooo': live four-engine contract check — the out-of-order
+    # 3b. engine='ooo': live committed-state contract check — the out-of-order
     # engine must commit the same architectural state before the (engine-
     # independent) body goes out
     if requested_engine == "ooo":

@@ -409,7 +409,7 @@ def request_key(canonical: dict) -> str:
     entries (the multi-tenant storage tier) — and the simulation engine:
     the in-order engines are bit-identical, and the ``ooo`` spelling only
     adds a committed-state cross-check without touching the body, so all
-    four spellings must hash to the same key and share one cache entry.
+    three spellings must hash to the same key and share one cache entry.
     """
     from repro.bench.cache import energy_model_stamp
 

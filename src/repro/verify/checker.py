@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 
+from repro.arch.machine import ENGINES
 from repro.core.pipeline import CompilerConfig, compile_binary
 from repro.frontend.ast_nodes import (
     BinaryExpr,
@@ -256,14 +257,13 @@ def confirm_counterexample(
 ) -> dict:
     """Replay a concretized counterexample through the full oracle stack.
 
-    Runs the IR interpreter plus all four machine engines on both
+    Runs the IR interpreter plus all three machine engines on both
     worlds (the ooo engine shares the committed trap/output contract, so
     it participates in the unanimity vote).  ``diverged`` is True only
     when each world is internally unanimous *and* the two worlds
     disagree — i.e. the divergence is a real property of the BITSPEC
     image, not executor or engine noise.
     """
-    engines = ("legacy", "fast", "compiled", "ooo")
     record = {"engines": {}, "interp": None, "diverged": False}
     world_obs = {}
     for world, binary in (
@@ -271,7 +271,7 @@ def confirm_counterexample(
         ("baseline", baseline_binary),
     ):
         per_engine = {}
-        for engine in engines:
+        for engine in ENGINES:
             trap, out = _engine_obs(binary, inputs, engine)
             per_engine[engine] = {"trap": trap, "out": list(out)}
         record["engines"][world] = per_engine

@@ -9,8 +9,8 @@ must equal one uninterrupted run in *every* SimResult field (energy
 counters and final memory image included) — the resume-equals-straight-
 run contract from "Correctness of Speculative Optimizations with
 Dynamic Deoptimization" (PAPERS.md), enforced bit-for-bit.  The
-batching engines (``compiled``/``ooo``) degrade to the predecoded
-stepper; the OoO committed view must still agree.
+OoO engine degrades to the predecoded stepper; its committed view must
+still agree.
 
 Also pinned here: the on-disk snapshot format (atomic save, load,
 corruption rejection), multi-hop resume chains, snapshot reuse, and the
@@ -176,17 +176,17 @@ def test_checkpoint_past_halt_returns_result():
 # -- engine degradation -------------------------------------------------------
 
 
-def test_compiled_engine_degrades_bit_identical():
+def test_ooo_engine_degrades_to_fast_bit_identical():
     binary, inputs = _corpus_binary("seed000")
-    ref = _machine(binary, inputs, "compiled").run()
-    snap = _machine(binary, inputs, "compiled").run(
+    ref = _machine(binary, inputs, "fast").run()
+    snap = _machine(binary, inputs, "ooo").run(
         checkpoint_at=ref.instructions // 2
     )
     assert isinstance(snap, Snapshot)
     assert snap.engine == "fast"  # degraded whole-run
-    sim = _machine(binary, inputs, "compiled").run(resume_from=snap)
-    # the in-order trio is bit-identical, so degradation loses nothing
-    assert_sims_identical(sim, ref, "compiled-degraded")
+    sim = _machine(binary, inputs, "ooo").run(resume_from=snap)
+    # the degraded run is the predecoded stepper's, in every field
+    assert_sims_identical(sim, ref, "ooo-degraded")
 
 
 def test_ooo_engine_degrades_committed_view():

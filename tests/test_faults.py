@@ -201,11 +201,11 @@ def test_session_razor_replay_counts_cycles():
 # ---------------------------------------------------------------------------
 
 
-def _engine_result(binary, plan, fast):
+def _engine_result(binary, plan, engine):
     set_global_inputs(binary.module, RUN_INPUTS)
     machine = Machine(
         binary.linked, binary.module,
-        faults=FaultSession(plan), fast=fast, step_limit=5000,
+        faults=FaultSession(plan), engine=engine, step_limit=5000,
     )
     try:
         sim = machine.run()
@@ -224,8 +224,8 @@ def test_engines_agree_under_faults(golden, kind):
     binary, _, profile = golden
     for seed in range(4):
         plan = derive_plan(kind, seed, profile, parity=seed % 2 == 1)
-        fast = _engine_result(binary, plan, True)
-        legacy = _engine_result(binary, plan, False)
+        fast = _engine_result(binary, plan, "fast")
+        legacy = _engine_result(binary, plan, "legacy")
         assert fast == legacy, f"{kind} seed {seed}: {fast} != {legacy}"
 
 

@@ -15,10 +15,10 @@ hand-built SIR program, below the verifier:
   entry → hA → hB deterministically, with exactly two misspeculations.
 
 Pinned at the IR interpreter and all three machine engines (legacy,
-predecoded, compiled), which must agree bit-for-bit: output ``[600]`` and
-a misspeculation count of 2.  A seeded sweep slides the misspeculating
-pcs across block offsets so the compiled engine's mid-region redirect
-fires at varying block-boundary positions.  The construction deliberately bypasses the
+predecoded, out-of-order), which must agree: output ``[600]`` and a
+misspeculation count of 2.  A seeded sweep slides the misspeculating pcs
+across block offsets so the redirect fires at varying block-boundary
+positions.  The construction deliberately bypasses the
 SIR verifier — it checks the squeezer's single-world invariants, and this
 program exists precisely to exercise hardware behavior the squeezer never
 generates.
@@ -100,10 +100,9 @@ def test_interpreter_reenters_through_both_handlers():
 def test_machine_reenters_through_both_handlers(engine):
     """Every engine walks entry → hA → hB: exactly 2 misspecs.
 
-    For the compiled engine this is the misspec-inside-handler re-entry
-    property: the first redirect aborts a compiled region mid-block, the
-    dispatcher re-enters at hA's region, and *that* region's own misspec
-    must redirect again — a fallback-inside-fallback path.
+    The first redirect lands in hA, which is itself the body of region B,
+    so *that* region's own misspec must redirect again — a
+    fallback-inside-fallback path.
     """
     module = build_reentry_module()
     linked = _link(module)
@@ -117,8 +116,10 @@ def test_machine_reenters_through_both_handlers(engine):
 def test_engines_and_interpreter_agree_exactly():
     module = build_reentry_module()
     linked = _link(module)
-    fast = Machine(module=module, linked=linked, fast=True, step_limit=10_000).run()
-    legacy = Machine(module=module, linked=linked, fast=False, step_limit=10_000).run()
+    fast = Machine(module=module, linked=linked, engine="fast", step_limit=10_000).run()
+    legacy = Machine(
+        module=module, linked=linked, engine="legacy", step_limit=10_000
+    ).run()
     assert (fast.output, fast.misspeculations, fast.instructions) == (
         legacy.output, legacy.misspeculations, legacy.instructions
     )
@@ -143,8 +144,8 @@ def build_padded_reentry_module(pad_entry: int, pad_handler: int, rng) -> Module
     """The re-entry program with seeded non-speculative padding.
 
     The filler adds slide the two misspeculating ops across instruction
-    positions — and therefore across compiled-region block offsets and
-    icache line boundaries — so the redirect can fire at the first, a
+    positions — and therefore across block offsets and icache line
+    boundaries — so the redirect can fire at the first, a
     middle, or the last pc of its block.
     """
     module = Module("reentry_padded")
@@ -208,7 +209,7 @@ def test_seeded_block_boundary_redirect_sweep(seed):
     ).run()
     assert ref.output == [600]
     assert ref.misspeculations == 2
-    for engine in ("legacy", "compiled", "ooo"):
+    for engine in ("legacy", "ooo"):
         sim = Machine(
             module=module, linked=linked, engine=engine, step_limit=10_000
         ).run()

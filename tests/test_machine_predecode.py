@@ -1,9 +1,8 @@
 """Engine-matrix differential tests: every engine vs the fast-path reference.
 
-The Machine has four engines.  The three in-order ones — the legacy
-instruction-at-a-time interpreter, the predecoded fast path
-(:mod:`repro.arch.predecode`) and the compiled template JIT
-(:mod:`repro.arch.compiled`) — must be *bit-identical*: same output
+The Machine has three engines.  The two in-order ones — the legacy
+instruction-at-a-time reference stepper and the predecoded fast path
+(:mod:`repro.arch.predecode`) — must be *bit-identical*: same output
 stream, same cycle and instruction counts, same per-width register-file
 traffic, same cache and misspeculation events.  Any divergence silently
 corrupts every energy figure, so equality is checked field-by-field, not
@@ -14,7 +13,7 @@ instruction/misspeculation counts (:func:`repro.arch.machine.committed_view`).
 
 Each test here takes the ``engine`` fixture (see conftest), so the matrix
 is (engine × corpus program × config) and (engine × workload × config);
-``pytest --engines compiled`` narrows it when bisecting.  The reference
+``pytest --engines ooo`` narrows it when bisecting.  The reference
 runs are computed once per cell and memoized for the session — the deep
 cross-engine matrix over the full corpus lives in
 ``tests/test_engine_equivalence.py``.
@@ -135,8 +134,8 @@ def test_corpus_program_engines_identical(engine, name, config):
 @pytest.mark.parametrize("workload_name", WORKLOADS)
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
 def test_workload_engines_identical(engine, workload_name, config):
-    if engine in ("legacy", "ooo") and workload_name != "crc32":
-        pytest.skip("stepper workload runs are slow; one workload pins the path")
+    if engine == "ooo" and workload_name != "crc32":
+        pytest.skip("ooo workload runs are slow; one workload pins the path")
     binary = get_binary(workload_name, config)
     inputs = get_workload(workload_name).inputs("test", 0)
     ref = _reference(("workload", workload_name, config.name), binary, inputs)
@@ -148,49 +147,55 @@ def test_workload_engines_identical(engine, workload_name, config):
 
 
 def test_fast_path_is_the_default_without_trace_hook(monkeypatch):
-    monkeypatch.delenv("REPRO_MACHINE_LEGACY", raising=False)
     monkeypatch.delenv("REPRO_MACHINE_ENGINE", raising=False)
     binary = get_binary("crc32", CompilerConfig.baseline())
     machine = Machine(binary.linked, binary.module)
-    assert machine.fast is None  # auto: resolved at run() time
+    assert machine.engine is None  # auto: resolved at run() time
     assert machine.resolve_engine() == "fast"
-    # an explicit fast=True with a trace hook must be rejected, not ignored
-    traced = Machine(
-        binary.linked, binary.module, trace_hook=lambda pc, regs: None, fast=True
-    )
+    hook = lambda pc, regs: None  # noqa: E731
+    # a trace hook selects the legacy stepper, whatever the environment says
+    monkeypatch.setenv("REPRO_MACHINE_ENGINE", "fast")
+    assert Machine(
+        binary.linked, binary.module, trace_hook=hook
+    ).resolve_engine() == "legacy"
+    # an explicit engine="fast" with a trace hook must be rejected, not ignored
+    traced = Machine(binary.linked, binary.module, trace_hook=hook, engine="fast")
     with pytest.raises(ValueError):
         traced.run()
 
 
 def test_legacy_env_escape_hatch(monkeypatch):
-    """REPRO_MACHINE_LEGACY=1 forces the legacy loop (and still agrees)."""
+    """REPRO_MACHINE_ENGINE=legacy forces the legacy loop (and still agrees)."""
     binary = get_binary("bitcount", CompilerConfig.bitspec("max"))
     inputs = get_workload("bitcount").inputs("test", 0)
     set_global_inputs(binary.module, inputs)
-    monkeypatch.setenv("REPRO_MACHINE_LEGACY", "1")
-    legacy = Machine(binary.linked, binary.module).run()
-    monkeypatch.delenv("REPRO_MACHINE_LEGACY")
+    monkeypatch.setenv("REPRO_MACHINE_ENGINE", "legacy")
+    machine = Machine(binary.linked, binary.module)
+    assert machine.resolve_engine() == "legacy"
+    legacy = machine.run()
+    monkeypatch.delenv("REPRO_MACHINE_ENGINE")
     fast = Machine(binary.linked, binary.module).run()
     assert_sims_identical(fast, legacy, "bitcount/env-escape")
 
 
-def test_engine_env_var_selects_compiled(monkeypatch):
+def test_engine_env_var_selects_ooo(monkeypatch):
     """REPRO_MACHINE_ENGINE picks an engine when nothing explicit does."""
     binary = get_binary("crc32", CompilerConfig.bitspec("max"))
     inputs = get_workload("crc32").inputs("test", 0)
     set_global_inputs(binary.module, inputs)
-    monkeypatch.setenv("REPRO_MACHINE_ENGINE", "compiled")
+    monkeypatch.setenv("REPRO_MACHINE_ENGINE", "ooo")
     machine = Machine(binary.linked, binary.module)
-    assert machine.resolve_engine() == "compiled"
-    compiled = machine.run()
+    assert machine.resolve_engine() == "ooo"
+    ooo = machine.run()
     monkeypatch.delenv("REPRO_MACHINE_ENGINE")
     fast = Machine(binary.linked, binary.module, engine="fast").run()
-    assert_sims_identical(compiled, fast, "crc32/env-engine")
-    # explicit arguments beat the environment
-    monkeypatch.setenv("REPRO_MACHINE_ENGINE", "legacy")
+    assert_engine_matches(ooo, fast, "ooo", "crc32/env-engine")
+    # explicit arguments and obs beat the environment
+    monkeypatch.setenv("REPRO_MACHINE_ENGINE", "ooo")
     assert Machine(
-        binary.linked, binary.module, engine="compiled"
-    ).resolve_engine() == "compiled"
+        binary.linked, binary.module, engine="legacy"
+    ).resolve_engine() == "legacy"
+    assert Machine(binary.linked, binary.module, obs=True).resolve_engine() == "fast"
 
 
 def test_engine_env_var_rejects_unknown(monkeypatch):

@@ -124,14 +124,15 @@ def test_attribute_requires_obs_sample():
 
 
 def test_obs_forces_fast_path(monkeypatch):
-    """REPRO_MACHINE_LEGACY is ignored for obs runs; fast=False raises."""
+    """REPRO_MACHINE_ENGINE is ignored for obs runs, and an explicit
+    engine="legacy" degrades to the fast path whole-run."""
     binary = _misspec_binary()
-    monkeypatch.setenv("REPRO_MACHINE_LEGACY", "1")
+    monkeypatch.setenv("REPRO_MACHINE_ENGINE", "legacy")
     sim = binary.run({"n": 200}, obs=True)
     assert sim.obs is not None  # fast path ran despite the env override
-    machine = Machine(binary.linked, binary.module, obs=True, fast=False)
-    with pytest.raises(ValueError, match="fast path"):
-        machine.run()
+    degraded = binary.run({"n": 200}, obs=True, engine="legacy")
+    assert degraded.obs is not None
+    assert degraded.obs == sim.obs
 
 
 # -- legacy-engine equivalence -------------------------------------------------
@@ -148,7 +149,6 @@ def _legacy_trace_counts(binary, inputs):
         binary.linked,
         binary.module,
         trace_hook=lambda pc, regs: trace.append(pc),
-        fast=False,
     )
     sim = machine.run()
     n = len(binary.linked.insts)

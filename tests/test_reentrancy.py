@@ -1,0 +1,94 @@
+"""Compiles are re-entrant across threads.
+
+Serve's inline mode (``ServeConfig.workers=0``) runs jobs on a thread
+pool, so two compiles can interleave in one process.  Everything a
+compile scopes — the pass-statistics registry (``repro.passes.stats``),
+armed toolchain faults and compiler bends (``repro.faults.toolchain``) —
+is context-local: a thread's compile counts into its own scope and never
+sees another thread's armed fault.
+"""
+
+import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+from repro.core.pipeline import CompilerConfig, compile_binary
+from repro.faults.toolchain import bend_compiler, inject_compile_faults
+from repro.fuzz.generator import generate_program
+from repro.passes.expander import ExpanderConfig
+
+THREADS = 6
+
+HELPER_SOURCE = """u32 in0;
+u32 helper(u32 x) { return (x * 3) + 7; }
+void main() { out(helper(in0)); }
+"""
+
+
+def _compile(program):
+    expander = (
+        ExpanderConfig() if program.expander_enabled else ExpanderConfig.disabled()
+    )
+    config = dataclasses.replace(CompilerConfig.bitspec("max"), expander=expander)
+    return compile_binary(
+        program.source, config, profile_inputs=program.inputs_profile
+    )
+
+
+def _in_threads(fn, items):
+    """Run ``fn`` over ``items``, one thread each, all released together,
+    with a short interpreter switch interval so the threads interleave."""
+    barrier = threading.Barrier(len(items))
+
+    def task(item):
+        barrier.wait(timeout=60)
+        return fn(item)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(items)) as pool:
+            return list(pool.map(task, items, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _image(binary) -> list:
+    return [repr(inst) for inst in binary.linked.insts]
+
+
+def test_concurrent_compiles_keep_their_own_pass_stats():
+    programs = [generate_program(seed) for seed in range(THREADS)]
+    sequential = [_compile(p).pass_stats for p in programs]
+    assert all(sequential)
+    concurrent = _in_threads(lambda p: _compile(p).pass_stats, programs)
+    for seed, (got, want) in enumerate(zip(concurrent, sequential)):
+        assert got == want, f"program {seed}: pass_stats differ under threads"
+
+
+def test_armed_compile_fault_stays_in_its_thread():
+    config = CompilerConfig.bitspec("max")
+    profile = {"in0": 5}
+    with inject_compile_faults({("helper", "squeeze")}):
+        here = compile_binary(HELPER_SOURCE, config, profile_inputs=profile)
+        (there,) = _in_threads(
+            lambda _: compile_binary(HELPER_SOURCE, config, profile_inputs=profile),
+            [None],
+        )
+    assert "helper" in here.linked.fallback_functions
+    assert not there.linked.fallback_functions
+
+
+def test_armed_bend_stays_in_its_thread():
+    config = CompilerConfig.bitspec("max")
+    profile = {"in0": 5}
+    with bend_compiler("bs-op-swap"):
+        here = compile_binary(HELPER_SOURCE, config, profile_inputs=profile)
+        (there,) = _in_threads(
+            lambda _: compile_binary(HELPER_SOURCE, config, profile_inputs=profile),
+            [None],
+        )
+    clean = _image(compile_binary(HELPER_SOURCE, config, profile_inputs=profile))
+    assert _image(here) != clean
+    assert _image(there) == clean

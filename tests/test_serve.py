@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.arch.machine import ENGINES
 from repro.serve.client import http_request, submit_report
 from repro.serve.report import execute_request
 from repro.serve.schema import (
@@ -110,7 +111,7 @@ class TestSchema:
     def test_key_excludes_engine_spelling(self):
         keys = {
             request_key(validate_request(good_doc(engine=engine)))
-            for engine in ("legacy", "fast", "compiled", "ooo")
+            for engine in ("legacy", "fast", "ooo")
         }
         keys.add(request_key(validate_request(good_doc())))
         assert len(keys) == 1
@@ -194,13 +195,13 @@ class TestExecuteRequest:
         assert first == second
 
     def test_envelope_byte_identical_across_engines(self):
-        # all four engine spellings share one request key and must produce
+        # all three engine spellings share one request key and must produce
         # byte-identical report bodies; 'ooo' additionally runs the live
         # committed-state cross-check, which must pass silently
         reference = validate_request(good_doc())
         key = request_key(reference)
         expected = canonical_body(execute_request(reference, key)["body"])
-        for engine in ("legacy", "fast", "compiled", "ooo"):
+        for engine in ("legacy", "fast", "ooo"):
             canonical = validate_request(good_doc(engine=engine))
             envelope = execute_request(canonical, key)
             assert envelope["status"] == 200, engine
@@ -413,6 +414,43 @@ class TestHttp:
             assert ghost.json()["error"]["code"] == "job-not-found"
 
         asyncio.run(_with_server(serve_config(tmp_path), scenario))
+
+
+# -- the retired ``compiled`` engine spelling ---------------------------------
+
+
+class TestRetiredEngineSpelling:
+    """``"engine": "compiled"`` named a fourth engine that no longer exists.
+
+    New requests spelling it are refused up front; request documents that
+    were already accepted under it (journal records written by an older
+    server) still execute, on the default engine, to the same bytes.
+    """
+
+    def test_new_request_is_400_listing_valid_engines(self, tmp_path):
+        async def scenario(server):
+            return await submit_report(
+                "127.0.0.1", server.port, good_doc(engine="compiled")
+            )
+
+        response = asyncio.run(_with_server(serve_config(tmp_path), scenario))
+        assert response.status == 400
+        error = response.json()["error"]
+        assert error["code"] == "invalid-request"
+        (detail,) = [d for d in error["details"] if d["path"] == "engine"]
+        assert "'compiled'" in detail["message"]
+        assert f"valid: {', '.join(ENGINES)}" in detail["message"]
+
+    def test_accepted_request_runs_on_the_default_engine(self):
+        reference = validate_request(good_doc())
+        key = request_key(reference)
+        stored = dict(reference, engine="compiled")
+        assert request_key(stored) == key
+        envelope = execute_request(stored, key)
+        assert envelope["status"] == 200
+        assert canonical_body(envelope["body"]) == canonical_body(
+            execute_request(reference, key)["body"]
+        )
 
 
 def test_error_codes_map_to_valid_statuses():

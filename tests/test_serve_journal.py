@@ -13,6 +13,7 @@ import json
 
 from repro.serve.client import http_request
 from repro.serve.journal import JOURNAL_FORMAT, JobJournal, scan
+from repro.serve.report import execute_request
 from repro.serve.schema import request_key, validate_request
 from repro.serve.server import ReproServer, ServeConfig, canonical_body
 
@@ -206,6 +207,34 @@ class TestServerRecovery:
 
         report = asyncio.run(_with_server(config, scenario))
         assert report.json()["key"] == key
+
+    def test_retired_engine_spelling_replays(self, tmp_path):
+        """A job journaled by an older server under ``"engine": "compiled"``
+        (an engine that no longer exists) still replays after the upgrade,
+        on the default engine, to the body the spelling-free request gets."""
+        config = journal_config(tmp_path)
+        reference = validate_request(good_doc())
+        key = request_key(reference)
+        journal = JobJournal(config.journal_path)
+        journal.submit(key, reference["tenant"], dict(reference, engine="compiled"))
+        journal.close()
+
+        async def scenario(server):
+            assert server.stats.requeued_jobs == 1
+            for _ in range(400):
+                report = await http_request(
+                    "127.0.0.1", server.port, "GET", f"/v1/jobs/{key}/report"
+                )
+                if report.status == 200:
+                    return report
+                assert report.status != 404, "recovered job was lost"
+                await asyncio.sleep(0.01)
+            raise AssertionError("requeued job never completed")
+
+        report = asyncio.run(_with_server(config, scenario))
+        assert report.body == canonical_body(
+            execute_request(reference, key)["body"]
+        )
 
     def test_crash_between_cache_write_and_complete_heals(self, tmp_path):
         config = journal_config(tmp_path)
