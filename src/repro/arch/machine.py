@@ -27,7 +27,12 @@ from repro.arch.widths import BYTE_MASKS as _MASKS, slice_mask
 from repro.backend.layout import LinkedProgram
 from repro.backend.mir import Imm, MachineInst, Slice
 from repro.interp.interpreter import evaluate_icmp
-from repro.interp.memory import FlatMemory, STACK_TOP, initialize_globals
+from repro.interp.memory import (
+    FlatMemory,
+    STACK_TOP,
+    global_inputs,
+    initialize_globals,
+)
 from repro.ir.function import Module
 from repro.ir.types import int_type
 
@@ -238,9 +243,14 @@ class Machine:
         geometry: Optional[CacheGeometry] = None,
         faults=None,
         engine: Optional[str] = None,
+        inputs: Optional[dict] = None,
     ) -> None:
         self.linked = linked
         self.module = module
+        #: program inputs overriding the module's global initializers
+        #: (:func:`repro.interp.memory.global_inputs`); the module is
+        #: never written, so one binary can run concurrently
+        self.inputs = global_inputs(module, inputs) if inputs else None
         self.step_limit = step_limit
         #: optional :class:`repro.faults.session.FaultSession`; both
         #: engines consult it behind one ``is not None`` guard per step
@@ -341,7 +351,9 @@ class Machine:
         data_access = hierarchy.data_access
 
         memory = FlatMemory()
-        initialize_globals(memory, self.module, linked.global_addresses)
+        initialize_globals(
+            memory, self.module, linked.global_addresses, self.inputs
+        )
         mem_load = memory.load
         mem_store = memory.store
 

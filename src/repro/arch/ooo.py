@@ -194,7 +194,9 @@ def run_ooo(machine) -> SimResult:
     stats = OooStats()
 
     memory = FlatMemory()
-    initialize_globals(memory, machine.module, linked.global_addresses)
+    initialize_globals(
+        memory, machine.module, linked.global_addresses, machine.inputs
+    )
     mem_load = memory.load
     mem_store = memory.store
 

@@ -442,7 +442,9 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
     data_access = hierarchy.data_access
 
     memory = FlatMemory()
-    initialize_globals(memory, machine.module, linked.global_addresses)
+    initialize_globals(
+        memory, machine.module, linked.global_addresses, machine.inputs
+    )
     mem_load = memory.load
     mem_store = memory.store
 

@@ -125,6 +125,10 @@ class AllocationStats:
     assignments: dict = field(default_factory=dict)
 
 
+#: expiry of a register with no active entries
+_NEVER = float("inf")
+
+
 def _succs_with_handlers(block: MachineBlock) -> list[MachineBlock]:
     succs = list(block.succs)
     if block.handler is not None:
@@ -160,10 +164,16 @@ class RegisterAllocator:
         self.pool = THUMB_ALLOCATABLE if isa == "THUMB" else ALLOCATABLE
         self.invert = invert_handler_weights
         self.stats = AllocationStats()
-        #: per register: list of (start, end, offset, size) assignments
-        self._assigned: dict[int, list[tuple[int, int, int, int]]] = {
+        #: per register: every (interval, offset, size) placed in it, in
+        #: placement order
+        self._assigned: dict[int, list[tuple[Interval, int, int]]] = {
             r: [] for r in self.pool
         }
+        #: per register: the placed entries still live at or after the
+        #: current interval's start (a subsequence of ``_assigned``)
+        self._active: dict[int, list[tuple[Interval, int, int]]] = {}
+        #: per register: a lower bound on the ends of its active entries
+        self._expiry: dict[int, int] = {}
         self.location: dict[VReg, object] = {}
         self.used_callee_saved: set[int] = set()
         self._scratch_used = False
@@ -300,10 +310,26 @@ class RegisterAllocator:
 
     # -- assignment -----------------------------------------------------------
 
+    def _advance(self, start: int) -> None:
+        """Expire active entries that end before ``start``.
+
+        Within one priority phase, intervals arrive in nondecreasing start
+        order, so an entry ending before this start overlaps no later
+        interval of the phase either.
+        """
+        for reg, expiry in self._expiry.items():
+            if expiry < start:
+                entries = [e for e in self._active[reg] if e[0].end >= start]
+                self._active[reg] = entries
+                self._expiry[reg] = min(
+                    (e[0].end for e in entries), default=_NEVER
+                )
+
     def _conflicts(self, reg: int, offset: int, size: int, interval: Interval):
-        """Assigned intervals overlapping [offset,size) during interval."""
+        """Assigned intervals overlapping [offset,size) during interval,
+        in placement order."""
         out = []
-        for entry in self._assigned[reg]:
+        for entry in self._active[reg]:
             other, off, sz = entry
             if off < offset + size and offset < off + sz:
                 if interval.overlaps(other):
@@ -320,7 +346,10 @@ class RegisterAllocator:
         return candidates
 
     def _place(self, interval: Interval, reg: int, offset: int, size: int) -> None:
-        self._assigned[reg].append((interval, offset, size))
+        entry = (interval, offset, size)
+        self._assigned[reg].append(entry)
+        self._active[reg].append(entry)
+        self._expiry[reg] = min(self._expiry[reg], interval.end)
         interval.location = Slice(reg, offset, interval.vreg.size)
         if reg in CALLEE_SAVED:
             self.used_callee_saved.add(reg)
@@ -375,6 +404,7 @@ class RegisterAllocator:
         _, reg, offset, conflicts = best
         for entry in conflicts:
             self._assigned[reg].remove(entry)
+            self._active[reg].remove(entry)
             self._spill(entry[0])
         self._place(interval, reg, offset, size)
         return True
@@ -385,7 +415,15 @@ class RegisterAllocator:
             intervals.sort(key=lambda i: (i.world != "orig", i.start, i.vreg.id))
         else:
             intervals.sort(key=lambda i: (i.world == "orig", i.start, i.vreg.id))
+        phase = None
         for interval in intervals:
+            if interval.world != phase:
+                # starts restart at the phase boundary: every placed entry
+                # becomes a candidate conflict again
+                phase = interval.world
+                self._active = {r: list(e) for r, e in self._assigned.items()}
+                self._expiry = {r: -1 for r in self._assigned}
+            self._advance(interval.start)
             if self._try_assign(interval):
                 continue
             if self._try_evict(interval):

@@ -193,17 +193,16 @@ def _execute(task: BenchTask) -> TaskOutcome:
         engine=task.engine,
     )
     cache = harness.get_disk_cache()
-    memo_key = (
-        task.workload,
-        harness._config_key(task.config),
-        task.profile_kind,
-        task.profile_seed,
-        task.run_kind,
-        task.run_seed,
-        task.engine,
-    )
     try:
-        outcome.cached = memo_key in harness._RUN_CACHE or (
+        outcome.cached = harness.memoized(
+            task.workload,
+            task.config,
+            profile_kind=task.profile_kind,
+            profile_seed=task.profile_seed,
+            run_kind=task.run_kind,
+            run_seed=task.run_seed,
+            engine=task.engine,
+        ) or (
             cache is not None
             and cache.contains_run(
                 _workload_source(task.workload),

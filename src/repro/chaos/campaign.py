@@ -136,11 +136,10 @@ def _fuzz_binary(program_seed: int):
 
 def _machine(program, binary):
     from repro.arch.machine import Machine
-    from repro.core.pipeline import set_global_inputs
 
-    if program.inputs_run:
-        set_global_inputs(binary.module, program.inputs_run)
-    return Machine(binary.linked, binary.module, engine="fast")
+    return Machine(
+        binary.linked, binary.module, engine="fast", inputs=program.inputs_run
+    )
 
 
 # -- worker-kill --------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.faults.toolchain import (
 )
 from repro.frontend.ast_nodes import Program
 from repro.interp.interpreter import Interpreter, RunResult
+from repro.interp.memory import global_inputs
 from repro.ir.cfg import remove_unreachable_blocks
 from repro.ir.clone import clone_function
 from repro.ir.function import Module
@@ -111,9 +112,8 @@ class CompilerConfig:
         """Canonical, JSON-serializable view of every semantic knob.
 
         Excludes ``name`` (a display label): two configs that differ only
-        in name must hash identically, mirroring the in-process memoizer's
-        ``_config_key``.  Used as a content-address ingredient by the
-        persistent result cache (:mod:`repro.bench.cache`).
+        in name must hash identically.  Used as a content-address
+        ingredient by the persistent result cache (:mod:`repro.bench.cache`).
         """
         data = asdict(self)
         data.pop("name")
@@ -169,18 +169,8 @@ def set_global_inputs(module: Module, inputs: dict) -> None:
     ``inputs`` maps global names to a scalar or list of element values;
     omitted globals keep their source-level initializers.
     """
-    for name, value in inputs.items():
-        gv = module.globals.get(name)
-        if gv is None:
-            raise KeyError(f"no such global: {name}")
-        values = value if isinstance(value, (list, tuple)) else [value]
-        if len(values) > gv.count:
-            raise ValueError(
-                f"{name}: {len(values)} values exceed capacity {gv.count}"
-            )
-        init = [gv.elem_type.wrap(v) for v in values]
-        init += [0] * (gv.count - len(init))
-        gv.initializer = init
+    for name, init in global_inputs(module, inputs).items():
+        module.globals[name].initializer = init
 
 
 @dataclass(frozen=True)
@@ -250,8 +240,6 @@ class CompiledBinary:
         campaigns shrink it so a corrupted loop counter cannot spin for
         the full default budget).
         """
-        if inputs:
-            set_global_inputs(self.module, inputs)
         if entry != "main":
             raise ValueError("the machine image always enters at main")
         kwargs = {}
@@ -259,7 +247,8 @@ class CompiledBinary:
             kwargs["step_limit"] = step_limit
         machine = Machine(
             self.linked, self.module, obs=obs, engine=engine,
-            geometry=self.config.cache_geometry(), faults=faults, **kwargs,
+            geometry=self.config.cache_geometry(), faults=faults,
+            inputs=inputs, **kwargs,
         )
         result = machine.run()
         if self.config.voltage_scaling == "timesqueezing":
@@ -270,9 +259,7 @@ class CompiledBinary:
         self, inputs: Optional[dict] = None, entry: str = "main", trace: bool = False
     ) -> RunResult:
         """Run the (post-middle-end) IR on the functional simulator."""
-        if inputs:
-            set_global_inputs(self.module, inputs)
-        return Interpreter(self.module, trace=trace).run(entry)
+        return Interpreter(self.module, trace=trace, inputs=inputs).run(entry)
 
     def fingerprint(self) -> str:
         """SHA-256 over the linked machine image (config + instructions).
@@ -299,8 +286,15 @@ def compile_binary(
     name: str = "program",
     stage_hook: Optional[Callable[[str, Module], None]] = None,
     strict: Optional[bool] = None,
+    profile: Optional[BitwidthProfile] = None,
 ) -> CompiledBinary:
     """Run the full pipeline of Fig. 4 for one configuration.
+
+    ``profile`` is a bitwidth profile already collected for this source,
+    expander and ``profile_inputs``; a speculative middle end then skips
+    its own profiling run.  Any config may share it: profiles are keyed
+    by (function, variable name) and the CFG preparation before
+    profiling reads no config.
 
     ``stage_hook(stage_name, module)`` is called after every middle-end
     stage; the fuzzer's differential oracles use it to run the IR/SIR
@@ -320,7 +314,7 @@ def compile_binary(
         strict = os.environ.get("REPRO_STRICT_COMPILE", "") == "1"
     with pass_stats.collecting() as stats_scope:
         binary = _compile_binary(
-            source, config, profile_inputs, entry, name, hook, strict
+            source, config, profile_inputs, entry, name, hook, strict, profile
         )
     binary.pass_stats = pass_stats.snapshot(stats_scope)
     return binary
@@ -397,7 +391,7 @@ def _squeeze_with_fallback(binary, module, profile, config, strict) -> set:
 
 
 def _compile_binary(
-    source, config, profile_inputs, entry, name, hook, strict
+    source, config, profile_inputs, entry, name, hook, strict, profile
 ) -> CompiledBinary:
     module = build_module(source, config.expander, name)
     hook("frontend+expander", module)
@@ -417,7 +411,8 @@ def _compile_binary(
         hook("cfg-prep", module)
         if profile_inputs:
             set_global_inputs(module, profile_inputs)
-        profile = BitwidthProfile.collect(module, entry)
+        if profile is None:
+            profile = BitwidthProfile.collect(module, entry)
         binary.profile = profile
         fallback = _squeeze_with_fallback(binary, module, profile, config, strict)
         hook("squeeze", module)

@@ -20,6 +20,7 @@ from typing import Optional
 from repro.interp.memory import (
     FlatMemory,
     STACK_TOP,
+    global_inputs,
     initialize_globals,
     layout_globals,
 )
@@ -123,13 +124,19 @@ class Interpreter:
         *,
         trace: bool = False,
         step_limit: int = 200_000_000,
+        inputs: Optional[dict] = None,
     ) -> None:
         self.module = module
         self.tracing = trace
         self.step_limit = step_limit
         self.memory = FlatMemory()
         self.global_addresses = layout_globals(module)
-        initialize_globals(self.memory, module, self.global_addresses)
+        initialize_globals(
+            self.memory,
+            module,
+            self.global_addresses,
+            global_inputs(module, inputs) if inputs else None,
+        )
         self.trace = Trace()
         self.output: list[int] = []
         self._sp = STACK_TOP

@@ -9,6 +9,8 @@ Little-endian, fixed layout:
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.ir.function import Module
 from repro.ir.types import IntType
 
@@ -54,14 +56,45 @@ def layout_globals(module: Module) -> dict[str, int]:
     return addresses
 
 
+def global_inputs(module: Module, inputs: dict) -> dict[str, list[int]]:
+    """Program inputs as full initializer lists, validated against ``module``.
+
+    ``inputs`` maps global names to a scalar or list of element values;
+    each result list is wrapped to the element type and zero-padded to
+    the global's capacity.  The module itself is not touched.
+    """
+    out: dict[str, list[int]] = {}
+    for name, value in inputs.items():
+        gv = module.globals.get(name)
+        if gv is None:
+            raise KeyError(f"no such global: {name}")
+        values = value if isinstance(value, (list, tuple)) else [value]
+        if len(values) > gv.count:
+            raise ValueError(
+                f"{name}: {len(values)} values exceed capacity {gv.count}"
+            )
+        init = [gv.elem_type.wrap(v) for v in values]
+        init += [0] * (gv.count - len(init))
+        out[name] = init
+    return out
+
+
 def initialize_globals(
-    memory: FlatMemory, module: Module, addresses: dict[str, int]
+    memory: FlatMemory,
+    module: Module,
+    addresses: dict[str, int],
+    inputs: Optional[dict] = None,
 ) -> None:
-    """Write global initializers into memory."""
+    """Write global initializers into memory.
+
+    ``inputs`` (from :func:`global_inputs`) replaces the initializers of
+    the globals it names, leaving the module untouched.
+    """
+    inputs = inputs or {}
     for gv in module.globals.values():
         base = addresses[gv.name]
         size = gv.elem_type.size_bytes
-        for i, value in enumerate(gv.initializer):
+        for i, value in enumerate(inputs.get(gv.name, gv.initializer)):
             memory.store(base + i * size, value, size)
 
 

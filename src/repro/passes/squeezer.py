@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.ir.block import BasicBlock
-from repro.ir.cfg import reverse_postorder
+from repro.ir.cfg import predecessor_map, reverse_postorder
 from repro.ir.clone import clone_blocks
 from repro.ir.function import Function, Module
 from repro.ir.instructions import (
@@ -267,7 +267,7 @@ def squeeze_function(
 
     # -- pass ③: handlers + SSA repair of CFG_orig ------------------------------
     orig_of = {clone: orig for orig, clone in bmap.items()}
-    updaters: dict[Instruction, SSAUpdater] = {}
+    handler_defs: dict[Instruction, list] = {}
     def_blocks: dict[Instruction, BasicBlock] = {}
     for block in orig_blocks:
         for inst in block.instructions:
@@ -306,13 +306,19 @@ def squeeze_function(
                 handler_value = narrow_value
             else:
                 handler_value = spec_value
-            updater = updaters.get(v_orig)
-            if updater is None:
-                updater = SSAUpdater(func, v_orig.type, v_orig.name)
-                updater.add_def(def_blocks[v_orig], v_orig)
-                updaters[v_orig] = updater
-            updater.add_def(handler, handler_value)
+            handler_defs.setdefault(v_orig, []).append((handler, handler_value))
         handler.append(Br(b_orig))
+
+    # One predecessor map serves every updater: the handlers' edges are all
+    # in place, and phi placement adds none.
+    preds = predecessor_map(func)
+    updaters: dict[Instruction, SSAUpdater] = {}
+    for v_orig, defs in handler_defs.items():
+        updater = SSAUpdater(func, v_orig.type, v_orig.name, preds)
+        updater.add_def(def_blocks[v_orig], v_orig)
+        for handler, handler_value in defs:
+            updater.add_def(handler, handler_value)
+        updaters[v_orig] = updater
 
     # Rewrite CFG_orig uses of variables that handlers redefine.
     for v_orig, updater in updaters.items():

@@ -25,10 +25,13 @@ class UndefinedValueError(Exception):
 class SSAUpdater:
     """Rewrites uses of one variable that now has multiple definitions."""
 
-    def __init__(self, func: Function, ty, name_hint: str) -> None:
+    def __init__(self, func: Function, ty, name_hint: str, preds: dict) -> None:
         self.func = func
         self.type = ty
         self.name_hint = name_hint
+        #: a :func:`repro.ir.cfg.predecessor_map` of ``func``, shareable
+        #: by every updater of one CFG (phi placement adds no edges)
+        self.preds = preds
         self._def_at_end: dict[BasicBlock, Value] = {}
         self._placed_phis: list[Phi] = []
 
@@ -46,7 +49,7 @@ class SSAUpdater:
         return value
 
     def _value_at_begin(self, block: BasicBlock) -> Value:
-        preds = block.predecessors()
+        preds = self.preds[block]
         if not preds:
             raise UndefinedValueError(
                 f"{self.name_hint}: no reaching definition at {block.name}"

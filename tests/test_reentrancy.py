@@ -1,11 +1,13 @@
-"""Compiles are re-entrant across threads.
+"""Compiles and simulations are re-entrant across threads.
 
 Serve's inline mode (``ServeConfig.workers=0``) runs jobs on a thread
 pool, so two compiles can interleave in one process.  Everything a
 compile scopes — the pass-statistics registry (``repro.passes.stats``),
 armed toolchain faults and compiler bends (``repro.faults.toolchain``) —
 is context-local: a thread's compile counts into its own scope and never
-sees another thread's armed fault.
+sees another thread's armed fault.  A simulation takes its inputs
+without writing them into the binary's module, so threads can run one
+memoized binary on different inputs at once.
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.pipeline import CompilerConfig, compile_binary
+from repro.eval import harness
 from repro.faults.toolchain import bend_compiler, inject_compile_faults
 from repro.fuzz.generator import generate_program
 from repro.passes.expander import ExpanderConfig
@@ -92,3 +95,40 @@ def test_armed_bend_stays_in_its_thread():
     clean = _image(compile_binary(HELPER_SOURCE, config, profile_inputs=profile))
     assert _image(here) != clean
     assert _image(there) == clean
+
+
+def _row(record) -> tuple:
+    sim = record.sim
+    return (
+        tuple(sim.output),
+        sim.instructions,
+        sim.cycles,
+        sim.misspeculations,
+        record.total_energy,
+    )
+
+
+def test_threads_share_memoized_binaries_across_run_inputs():
+    config = CompilerConfig.bitspec("max")
+    cells = [
+        (workload, kind, seed)
+        for workload in ("crc32", "bitcount")
+        for kind in ("test", "alt")
+        for seed in (0, 1, 2)
+    ]
+
+    def run(cell):
+        workload, kind, seed = cell
+        return _row(harness.run(workload, config, run_kind=kind, run_seed=seed))
+
+    harness.clear_caches()
+    try:
+        sequential = [run(cell) for cell in cells]
+        harness.clear_caches()
+        for workload in ("crc32", "bitcount"):
+            harness.get_binary(workload, config)  # every thread shares these
+        concurrent = _in_threads(run, cells)
+    finally:
+        harness.clear_caches()
+    for cell, got, want in zip(cells, concurrent, sequential):
+        assert got == want, f"{cell}: threaded run differs from sequential"
