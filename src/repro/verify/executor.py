@@ -33,9 +33,13 @@ from dataclasses import dataclass
 from repro.arch.machine import HALT, _DIV_OPS
 from repro.arch.widths import BYTE_MASKS as _MASKS, slice_mask
 from repro.backend.mir import Imm, Slice
-from repro.core.pipeline import set_global_inputs
 from repro.interp.interpreter import evaluate_icmp
-from repro.interp.memory import FlatMemory, STACK_TOP, initialize_globals
+from repro.interp.memory import (
+    FlatMemory,
+    STACK_TOP,
+    global_inputs,
+    initialize_globals,
+)
 from repro.ir.types import int_type
 from repro.verify.domain import (
     Vec,
@@ -139,10 +143,13 @@ class SymbolicMachine:
         self.n_lanes = lane_counts.pop()
         self.spec_mask = slice_mask(getattr(self.linked, "slice_width", 8))
 
-        if inputs:
-            set_global_inputs(self.module, inputs)
         self.base = FlatMemory()
-        initialize_globals(self.base, self.module, self.linked.global_addresses)
+        initialize_globals(
+            self.base,
+            self.module,
+            self.linked.global_addresses,
+            global_inputs(self.module, inputs) if inputs else None,
+        )
 
         # exploration statistics (deterministic; surfaced in verdicts)
         self.lane_steps = 0
