@@ -6,7 +6,7 @@ from repro.core import set_global_inputs
 from repro.frontend import compile_source
 from repro.interp import Interpreter
 from repro.ir import verify_module
-from repro.ir.cfg import remove_unreachable_blocks
+from repro.ir.cfg import predecessor_map, remove_unreachable_blocks
 from repro.ir.instructions import BinOp, Cast, Icmp
 from repro.passes import (
     eliminate_dead_code_module,
@@ -192,9 +192,10 @@ class TestRegions:
     def test_predecessor_rules(self):
         module, _ = squeeze(COUNTER, "avg")
         func = module.function("main")
+        preds = predecessor_map(func)
         for region in regions_of(func):
             handler = region.handler
-            assert sir_predecessors(handler) == region.entry.predecessors()
+            assert sir_predecessors(handler, preds) == region.entry.predecessors()
             assert smir_predecessors(handler) == region.blocks
 
 
