@@ -211,7 +211,8 @@ class Machine:
 
     * ``fast`` (the default): the program is predecoded once into dense
       tuples with an integer-dispatch loop and batched energy counters
-      (:mod:`repro.arch.predecode`);
+      (:mod:`repro.arch.predecode`); hot regions run as translated
+      Python functions (:mod:`repro.arch.tier`);
     * ``legacy``: the reference instruction-at-a-time stepper, bit-identical
       to ``fast`` in every field and the only engine with per-step
       ``trace_hook`` callbacks;

@@ -21,6 +21,12 @@ bench matrix) skip predecode.  Event counts are bit-identical to the
 legacy path — ``tests/test_machine_predecode.py`` asserts this
 differentially over the fuzz seed corpus and real workloads.
 
+The dispatch loop is the lower of two tiers: regions entered more than
+:data:`HOT_THRESHOLD` times in a run are translated to Python functions
+(:mod:`repro.arch.tier`) that fill the same per-pc arrays, and the loop
+calls them.  Fetches from the line fetched last are elided in both
+tiers: they are L1 hits that leave the cache unchanged.
+
 Observability rides the same batching (:mod:`repro.obs`): the loop keeps
 *per-pc* arrays for the genuinely dynamic events (cache misses, load-use
 hazards, misspeculations, taken conditional branches, conditional-move
@@ -35,7 +41,9 @@ set, the arrays are handed to the caller as a
 
 from __future__ import annotations
 
-from repro.arch.cache import MemoryHierarchy
+import math
+
+from repro.arch.cache import L1_LINE_SHIFT, MemoryHierarchy
 from repro.arch.widths import BYTE_MASKS as _MASKS, slice_mask
 from repro.backend.mir import Imm, Slice
 from repro.interp.interpreter import evaluate_icmp
@@ -43,6 +51,13 @@ from repro.interp.memory import FlatMemory, STACK_TOP, initialize_globals
 from repro.ir.types import int_type
 
 HALT = 0xFFFFFFFF
+
+#: entries into a region, in one run, after which the dispatch loop
+#: translates it (:mod:`repro.arch.tier`).  Ski rental: translating a
+#: region costs about as much as interpreting this many passes through
+#: it (the median break-even measured by benchmarks/tier_threshold.py;
+#: docs/engines.md, "Adding speed").
+HOT_THRESHOLD = 75
 
 _DIV_OPS = ("udiv", "sdiv", "urem", "srem")
 
@@ -411,11 +426,24 @@ def predecode(linked, narrow_rf: bool):
     return cache[narrow_rf]
 
 
-def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
+def run_fast(
+    machine, checkpoint_at=None, resume_from=None, _threshold=None
+) -> "SimResult":
     """Execute a linked program on the predecoded fast path.
 
     Produces a :class:`repro.arch.machine.SimResult` with event counts
     bit-identical to :meth:`Machine._run_legacy`.
+
+    Two tiers: the dispatch loop below steps one predecoded tuple at a
+    time and counts entries into regions; a region entered more than
+    :data:`HOT_THRESHOLD` times runs as a translated function
+    (:mod:`repro.arch.tier`).  The dispatch loop runs whatever a
+    translation could not run identically: the whole run under a live
+    fault session, a region that would cross ``checkpoint_at`` or the
+    step limit, and code reached at a pc that is no region entry.
+    ``_threshold`` overrides :data:`HOT_THRESHOLD` for tests and fuzzing:
+    0 translates every region on first entry, ``math.inf`` never runs a
+    translation.
 
     ``checkpoint_at=N`` returns a
     :class:`repro.arch.checkpoint.Snapshot` at the first
@@ -451,8 +479,8 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
     regs = [0] * 16
     regs[13] = STACK_TOP
     regs[14] = HALT
-    cmp_state = (0, 0, 4)
-    carry = 0
+    # [compare state, carry]: a list, so translated regions share it
+    flags = [(0, 0, 4), 0]
 
     exec_counts = [0] * n_insts
 
@@ -486,8 +514,7 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
         data_access = hierarchy.data_access
         memory.data[:] = snap.memory_data
         regs[:] = snap.regs
-        cmp_state = tuple(snap.cmp_state)
-        carry = snap.carry
+        flags[:] = [tuple(snap.cmp_state), snap.carry]
         last_load_reg = snap.last_load_reg
         pc = snap.pc
         steps = snap.instructions
@@ -503,14 +530,58 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
         taken_pc[:] = state["taken_pc"]
         movcond_pc[:] = state["movcond_pc"]
 
+    # Same-line fetch elision: a fetch from the line fetched last is an L1
+    # hit that leaves the cache unchanged, so only line transitions call
+    # fetch().  Before a snapshot and at halt the icache's access count is
+    # restored to what the elided calls would have made: one per executed
+    # instruction but a fault bubble.
+    icache = hierarchy.icache
+    last_line = icache._last_line
+    accesses_from = icache.stats.accesses - steps
+    bubbles = 0
+
+    # A region entry is a pc reached by a branch, call, return or
+    # Δ-redirect (``entering``): the dispatch loop counts entries per pc in
+    # ``heat`` and, past the threshold, replaces the count with the
+    # region's translation: (function, length, line of its terminator).
+    threshold = HOT_THRESHOLD if _threshold is None else _threshold
+    heat = [0] * n_insts
+    entering = resume_from is None
+    live: list = []  # (region, counters) bound to this run
+    if fx is not None:
+        threshold = math.inf
+    if threshold != math.inf:
+        from repro.arch.tier import (
+            fold_counts, instantiate, run_globals, translate, translations,
+        )
+
+        regions = translations(linked, narrow_rf, machine.slice_width)
+        namespace = run_globals(
+            regs, flags, memory, output, hierarchy,
+            (ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc,
+             hazard_pc, misspec_pc, taken_pc, movcond_pc),
+        )
+
+        def enter(region):
+            fn, counters = instantiate(region, namespace)
+            live.append((region, counters))
+            return fn, region.length, region.end_line
+
+        for entry, region in list(regions.items()):
+            heat[entry] = enter(region)
+    bound = limit if checkpoint_at is None else min(limit, checkpoint_at)
+
     while pc != HALT:
         if checkpoint_at is not None and steps >= checkpoint_at:
             from repro.arch.checkpoint import make_snapshot
 
+            if live:
+                fold_counts(live, exec_counts, hazard_pc)
+            icache.stats.accesses = accesses_from + steps - bubbles
             return make_snapshot(
                 machine, "fast",
-                instructions=steps, pc=pc, regs=regs, cmp_state=cmp_state,
-                carry=carry, last_load_reg=last_load_reg, output=output,
+                instructions=steps, pc=pc, regs=regs, cmp_state=flags[0],
+                carry=flags[1], last_load_reg=last_load_reg, output=output,
                 memory=memory, hierarchy=hierarchy,
                 state={
                     "exec_counts": list(exec_counts),
@@ -526,6 +597,39 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
             )
         if not 0 <= pc < n_insts:
             raise MachineError(f"pc out of range: {pc}")
+        if entering:
+            entering = False
+            h = heat[pc]
+            if h.__class__ is int:
+                if h < threshold:
+                    heat[pc] = h + 1
+                else:
+                    region = regions.get(pc)
+                    if region is None:
+                        region = regions.setdefault(
+                            pc, translate(code, pc, inst_bytes, spec_mask)
+                        )
+                    heat[pc] = enter(region)
+                    entering = True
+                    continue
+            else:
+                fn, length, end_line = h
+                if steps + length <= bound:
+                    nxt = fn(last_load_reg, last_line)
+                    last_load_reg = -1
+                    entering = True
+                    if nxt >= 0:
+                        steps += length
+                        last_line = end_line
+                        pc = nxt
+                    else:
+                        # a bs_* op misspeculated after -nxt instructions:
+                        # redirect from it into its Δ-handler
+                        steps -= nxt
+                        pc -= nxt + 1
+                        last_line = (pc * inst_bytes) >> L1_LINE_SHIFT
+                        pc += delta
+                    continue
         t = code[pc]
         steps += 1
         if steps > limit:
@@ -536,15 +640,19 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
                 # architectural effect as the legacy engine's skip)
                 exec_counts[pc] += 1
                 last_load_reg = -1
+                bubbles += 1
                 pc = pc + 1
                 continue
-        # instruction fetch
-        level = fetch(pc * inst_bytes)
-        if level != "l1":
-            if level == "l2":
-                ic_l2_pc[pc] += 1
-            else:
-                ic_mem_pc[pc] += 1
+        # instruction fetch, issued only on a line transition
+        line = (pc * inst_bytes) >> L1_LINE_SHIFT
+        if line != last_line:
+            last_line = line
+            level = fetch(pc * inst_bytes)
+            if level != "l1":
+                if level == "l2":
+                    ic_l2_pc[pc] += 1
+                else:
+                    ic_mem_pc[pc] += 1
         exec_counts[pc] += 1
         # load-use hazard
         if last_load_reg >= 0:
@@ -636,13 +744,15 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
                 else:
                     d_mem_pc[pc] += 1
         elif op == OP_BCOND:
-            a, b, width = cmp_state
+            a, b, width = flags[0]
             ty = int_type(64 if width == 8 else width * 8)
             if evaluate_icmp(t[2], a, b, ty):
                 next_pc = t[3]
                 taken_pc[pc] += 1
+            entering = True
         elif op == OP_B:
             next_pc = t[2]
+            entering = True
         elif op == OP_CMP:
             d = t[2]
             k = d[0]
@@ -654,7 +764,7 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
             b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
                 d[1] if k == 0 else regs[13]
             )
-            cmp_state = (a, b, t[4])
+            flags[0] = (a, b, t[4])
         elif op == OP_BS_BIN:
             d = t[3]
             k = d[0]
@@ -687,6 +797,7 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
             if miss:
                 misspec_pc[pc] += 1
                 next_pc = pc + delta if fx is None else fx.redirect(pc, delta)
+                entering = True
             else:
                 w = t[5]
                 r = w[0]
@@ -702,7 +813,7 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
             b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
                 d[1] if k == 0 else regs[13]
             )
-            cmp_state = (a, b, t[4])
+            flags[0] = (a, b, t[4])
         elif op == OP_BS_TRUNC:
             d = t[2]
             k = d[0]
@@ -715,6 +826,7 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
             if miss:
                 misspec_pc[pc] += 1
                 next_pc = pc + delta if fx is None else fx.redirect(pc, delta)
+                entering = True
             else:
                 w = t[3]
                 r = w[0]
@@ -731,6 +843,7 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
             if miss:
                 misspec_pc[pc] += 1
                 next_pc = pc + delta if fx is None else fx.redirect(pc, delta)
+                entering = True
         elif op == OP_BS_LDR:
             d = t[2]
             k = d[0]
@@ -750,6 +863,7 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
             if miss:
                 misspec_pc[pc] += 1
                 next_pc = pc + delta if fx is None else fx.redirect(pc, delta)
+                entering = True
             else:
                 w = t[4]
                 r = w[0]
@@ -768,7 +882,7 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
             r = w[0]
             regs[r] = (regs[r] & w[3]) | ((value & w[2]) << w[1])
         elif op == OP_MOVCOND:
-            a, b, width = cmp_state
+            a, b, width = flags[0]
             ty = int_type(64 if width == 8 else width * 8)
             if evaluate_icmp(t[2], a, b, ty):
                 movcond_pc[pc] += 1
@@ -857,8 +971,8 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
             b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
                 d[1] if k == 0 else regs[13]
             )
-            full = a + b + (carry if op == OP_ADC else 0)
-            carry = full >> 32
+            full = a + b + (flags[1] if op == OP_ADC else 0)
+            flags[1] = full >> 32
             value = full & 0xFFFFFFFF
             w = t[4]
             r = w[0]
@@ -874,7 +988,7 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
             b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
                 d[1] if k == 0 else regs[13]
             )
-            carry = 1 if a >= b else 0
+            flags[1] = 1 if a >= b else 0
             value = (a - b) & 0xFFFFFFFF
             w = t[4]
             r = w[0]
@@ -890,8 +1004,8 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
             b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
                 d[1] if k == 0 else regs[13]
             )
-            full = a - b - (1 - carry)
-            carry = 1 if full >= 0 else 0
+            full = a - b - (1 - flags[1])
+            flags[1] = 1 if full >= 0 else 0
             value = full & 0xFFFFFFFF
             w = t[4]
             r = w[0]
@@ -921,8 +1035,10 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
         elif op == OP_BL:
             regs[14] = pc + 1
             next_pc = t[2]
+            entering = True
         elif op == OP_BX:
             next_pc = regs[14]
+            entering = True
         elif op == OP_SUBSPI:
             regs[13] = (regs[13] - t[2]) & 0xFFFFFFFF
         elif op == OP_ADDSPI:
@@ -938,9 +1054,9 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
             b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
                 d[1] if k == 0 else regs[13]
             )
-            cmp_state = (a, b, "hi")
+            flags[0] = (a, b, "hi")
         elif op == OP_CMP64LO:
-            a_hi, b_hi, _tag = cmp_state
+            a_hi, b_hi, _tag = flags[0]
             d = t[2]
             k = d[0]
             a = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
@@ -951,7 +1067,7 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
             b = ((regs[d[1]] >> d[2]) & d[3]) if k == 1 else (
                 d[1] if k == 0 else regs[13]
             )
-            cmp_state = ((a_hi << 32) | a, (b_hi << 32) | b, 8)
+            flags[0] = ((a_hi << 32) | a, (b_hi << 32) | b, 8)
         elif op == OP_OUT:
             d = t[2]
             k = d[0]
@@ -965,6 +1081,9 @@ def run_fast(machine, checkpoint_at=None, resume_from=None) -> "SimResult":
             raise MachineError(f"{t[2]} at {pc}")
         pc = next_pc
 
+    if live:
+        fold_counts(live, exec_counts, hazard_pc)
+    icache.stats.accesses = accesses_from + steps - bubbles
     return fold_result(
         machine, narrow_rf, code, effects, exec_counts,
         ic_l2_pc, ic_mem_pc, d_l2_pc, d_mem_pc,

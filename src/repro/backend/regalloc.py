@@ -174,6 +174,9 @@ class RegisterAllocator:
         self._active: dict[int, list[tuple[Interval, int, int]]] = {}
         #: per register: a lower bound on the ends of its active entries
         self._expiry: dict[int, int] = {}
+        #: per register: its active entries live during the interval being
+        #: allocated (see :meth:`_overlapping`)
+        self._overlap: dict[int, list] = {}
         self.location: dict[VReg, object] = {}
         self.used_callee_saved: set[int] = set()
         self._scratch_used = False
@@ -325,16 +328,24 @@ class RegisterAllocator:
                     (e[0].end for e in entries), default=_NEVER
                 )
 
+    def _overlapping(self, reg: int, interval: Interval) -> list:
+        """Active entries of ``reg`` live during ``interval``, in placement
+        order; computed once per (interval, register) and shared by every
+        offset :meth:`_try_assign` and :meth:`_try_evict` probe."""
+        entries = self._overlap.get(reg)
+        if entries is None:
+            entries = self._overlap[reg] = [
+                entry for entry in self._active[reg] if interval.overlaps(entry[0])
+            ]
+        return entries
+
     def _conflicts(self, reg: int, offset: int, size: int, interval: Interval):
         """Assigned intervals overlapping [offset,size) during interval,
         in placement order."""
-        out = []
-        for entry in self._active[reg]:
-            other, off, sz = entry
-            if off < offset + size and offset < off + sz:
-                if interval.overlaps(other):
-                    out.append(entry)
-        return out
+        return [
+            entry for entry in self._overlapping(reg, interval)
+            if entry[1] < offset + size and offset < entry[1] + entry[2]
+        ]
 
     def _candidate_regs(self, interval: Interval) -> list[int]:
         candidates = list(self.pool)
@@ -424,6 +435,7 @@ class RegisterAllocator:
                 self._active = {r: list(e) for r, e in self._assigned.items()}
                 self._expiry = {r: -1 for r in self._assigned}
             self._advance(interval.start)
+            self._overlap = {}
             if self._try_assign(interval):
                 continue
             if self._try_evict(interval):

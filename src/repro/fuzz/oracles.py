@@ -12,14 +12,18 @@ level                   what executes
 ``machine-baseline``    compiled ARM binary on ``repro.arch.machine``
 ``machine-bitspec-T``   compiled ARM_BS binary, T ∈ {max,avg,min}
 ``machine-thumb``       compiled THUMB binary
-``engines``             the T=MAX binary on the legacy and ooo engines
+``engines``             the T=MAX binary on the legacy and ooo engines, and
+                        on ``fast`` with every region translated
 ======================  =====================================================
 
 The ``engines`` level is the fuzzing arm of the three-engine contract
 (docs/engines.md): the T=MAX binary is re-run on the legacy reference
 stepper, and every ``SimResult`` field — aggregates, energy counters,
 class counts, final memory image — must equal the fast path's, not just
-the ``out()`` stream.  The out-of-order
+the ``out()`` stream.  ``fast`` then runs once more with every region
+translated on its first entry (:mod:`repro.arch.tier`), and its fields,
+memory image and per-pc obs arrays must equal the dispatch loop's alone.
+The out-of-order
 engine then re-runs the same binary and its *committed view*
 (:func:`repro.arch.machine.committed_view` — traps, out stream, memory,
 committed instruction/misspeculation counts) must match; its cycles and
@@ -172,46 +176,75 @@ def _check_energy(report: OracleReport, level: str, sim) -> None:
         )
 
 
+def _compare_sims(report: OracleReport, what: str, sim, ref, ref_name) -> None:
+    """Every :class:`SimResult` field, energy counter and the final memory
+    image of ``sim`` against ``ref`` (and the per-pc obs arrays, when both
+    carry them)."""
+    import dataclasses
+
+    for f in dataclasses.fields(type(ref)):
+        if f.name in ("counters", "memory", "obs"):
+            continue
+        a, b = getattr(sim, f.name), getattr(ref, f.name)
+        if a != b:
+            report.invariant_failures.append(
+                f"engines: {what} SimResult.{f.name} {a!r} != {ref_name} {b!r}"
+            )
+    for f in dataclasses.fields(type(ref.counters)):
+        a = getattr(sim.counters, f.name)
+        b = getattr(ref.counters, f.name)
+        if a != b:
+            report.invariant_failures.append(
+                f"engines: {what} counters.{f.name} {a!r} != {ref_name} {b!r}"
+            )
+    if (
+        sim.memory is not None
+        and ref.memory is not None
+        and sim.memory.data != ref.memory.data
+    ):
+        report.invariant_failures.append(
+            f"engines: {what} final memory image differs from {ref_name}"
+        )
+    if sim.obs is not None and ref.obs is not None:
+        for f in dataclasses.fields(type(ref.obs)):
+            if getattr(sim.obs, f.name) != getattr(ref.obs, f.name):
+                report.invariant_failures.append(
+                    f"engines: {what} obs.{f.name} differs from {ref_name}"
+                )
+
+
 def _check_engines(report: OracleReport, binary, inputs, fast_sim) -> None:
     """The ``engines`` oracle level: the three-engine contract.
 
     Re-runs the T=MAX binary on the legacy reference stepper and requires
     every :class:`SimResult` field — not just the ``out()`` stream — to
-    equal the fast path's; then re-runs it on the out-of-order engine and
+    equal the fast path's; runs ``fast`` with every region translated
+    and requires the same of it, per-pc obs arrays included, against the
+    dispatch loop alone; then re-runs it on the out-of-order engine and
     requires committed-view equality.
     """
-    import dataclasses
+    import math
+
+    from repro.arch.machine import Machine, committed_view
+    from repro.arch.predecode import run_fast
 
     sim = binary.run(inputs, engine="legacy")
-    for f in dataclasses.fields(type(fast_sim)):
-        if f.name in ("counters", "memory", "obs"):
-            continue
-        a, b = getattr(sim, f.name), getattr(fast_sim, f.name)
-        if a != b:
-            report.invariant_failures.append(
-                f"engines: legacy SimResult.{f.name} {a!r} != fast {b!r}"
-            )
-    for f in dataclasses.fields(type(fast_sim.counters)):
-        a = getattr(sim.counters, f.name)
-        b = getattr(fast_sim.counters, f.name)
-        if a != b:
-            report.invariant_failures.append(
-                f"engines: legacy counters.{f.name} {a!r} != fast {b!r}"
-            )
-    if (
-        sim.memory is not None
-        and fast_sim.memory is not None
-        and sim.memory.data != fast_sim.memory.data
-    ):
-        report.invariant_failures.append(
-            "engines: legacy final memory image differs from fast"
-        )
+    _compare_sims(report, "legacy", sim, fast_sim, "fast")
     report.outputs["engines"] = sim.output
     report.misspeculations["engines"] = sim.misspeculations
 
-    # the ooo lane: committed architectural contract only
-    from repro.arch.machine import committed_view
+    # the translated tier of fast, every region translated on first entry
+    def fast_run(threshold):
+        machine = Machine(
+            binary.linked, binary.module, obs=True,
+            geometry=binary.config.cache_geometry(), inputs=inputs,
+        )
+        return run_fast(machine, _threshold=threshold)
 
+    _compare_sims(report, "translated", fast_run(0), fast_run(math.inf),
+                  "dispatch loop")
+
+    # the ooo lane: committed architectural contract only
     ooo_sim = binary.run(inputs, engine="ooo")
     ref_view = committed_view(fast_sim)
     ooo_view = committed_view(ooo_sim)

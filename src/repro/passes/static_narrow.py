@@ -120,10 +120,18 @@ def _narrow_value(
         return Constant(I8, value.value)
     if isinstance(value.type, IntType) and value.type.bits == WIDTH:
         return value
-    trunc = Cast("trunc", value, I8, func.next_name("ntr"))
+    cast = _to_width(value, func.next_name("ntr"))
     index = block.instructions.index(position)
-    block.insert(index, trunc)
-    return trunc
+    block.insert(index, cast)
+    return cast
+
+
+def _to_width(value: Value, name: str) -> Cast:
+    """``value`` at the narrow width: truncated, or zero-extended when it
+    is narrower still (an i1 compare result)."""
+    if isinstance(value.type, IntType) and value.type.bits < WIDTH:
+        return Cast("zext", value, I8, name)
+    return Cast("trunc", value, I8, name)
 
 
 def narrow_function(func: Function) -> int:
@@ -155,7 +163,7 @@ def narrow_function(func: Function) -> int:
                     ):
                         narrow_map[inst] = source
                     else:
-                        narrow = Cast("trunc", source, I8, func.next_name(f"{inst.name}.n"))
+                        narrow = _to_width(source, func.next_name(f"{inst.name}.n"))
                         block.insert(block.instructions.index(inst), narrow)
                         narrow_map[inst] = narrow
                 else:

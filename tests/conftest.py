@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.arch import predecode
 from repro.arch.machine import ENGINES, parse_engine_list
 from repro.core import CompilerConfig, compile_binary, set_global_inputs
 from repro.frontend import compile_source
@@ -40,6 +41,19 @@ def pytest_generate_tests(metafunc):
     if "engine" in metafunc.fixturenames:
         engines = parse_engine_list(metafunc.config.getoption("--engines"))
         metafunc.parametrize("engine", list(engines))
+
+
+@pytest.fixture
+def tier(request, monkeypatch):
+    """Force the fast engine's translation threshold for one test.
+
+    0 (the default) translates every region on its first entry;
+    ``math.inf`` keeps every run in the dispatch loop.  Pick one with
+    ``@pytest.mark.parametrize("tier", [math.inf], indirect=True)``.
+    """
+    threshold = getattr(request, "param", 0)
+    monkeypatch.setattr(predecode, "HOT_THRESHOLD", threshold)
+    return threshold
 
 
 def run_source(source: str, inputs: dict = None, entry: str = "main"):

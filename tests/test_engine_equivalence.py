@@ -23,9 +23,14 @@ Coverage axes:
 Per-pc observability samples come from the fast engine alone; their
 conservation and their equivalence with a legacy trace are pinned in
 ``tests/test_obs.py``.
+
+The whole matrix runs ``fast`` with every region translated on its first
+entry (the ``tier`` fixture at 0); the corpus matrix runs again with the
+translated tier off (``math.inf``).
 """
 
 import dataclasses
+import math
 from pathlib import Path
 
 import pytest
@@ -52,6 +57,12 @@ CONFIGS = (
     CompilerConfig.baseline(),
     CompilerConfig.bitspec("max"),
     CompilerConfig.thumb(),
+)
+
+pytestmark = pytest.mark.usefixtures("tier")
+
+UNTRANSLATED = pytest.mark.parametrize(
+    "tier", [math.inf], indirect=True, ids=["untranslated"]
 )
 
 def _corpus_binary(name: str, config: CompilerConfig):
@@ -93,6 +104,22 @@ def test_corpus_smoke_all_engines(name):
 @pytest.mark.parametrize("name", FULL_CORPUS)
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
 def test_corpus_full_all_engines(name, config):
+    binary, inputs = _corpus_binary(name, config)
+    _assert_all_engines_identical(binary, inputs, f"{name}/{config.name}")
+
+
+@UNTRANSLATED
+@pytest.mark.parametrize("name", SMOKE_CORPUS)
+def test_corpus_smoke_all_engines_dispatch_loop(name, tier):
+    binary, inputs = _corpus_binary(name, CompilerConfig.bitspec("max"))
+    _assert_all_engines_identical(binary, inputs, name)
+
+
+@pytest.mark.slow
+@UNTRANSLATED
+@pytest.mark.parametrize("name", FULL_CORPUS)
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+def test_corpus_full_all_engines_dispatch_loop(name, config, tier):
     binary, inputs = _corpus_binary(name, config)
     _assert_all_engines_identical(binary, inputs, f"{name}/{config.name}")
 

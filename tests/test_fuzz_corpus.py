@@ -6,12 +6,17 @@ BASELINE/BITSPEC x3/THUMB) and satisfy the per-run invariants (stage
 verification, energy accounting, profile==run zero-misspeculation).
 """
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
-from repro.fuzz.corpus import iter_corpus, program_to_dict
-from repro.fuzz.oracles import ALL_LEVELS, run_oracles
+from repro.core.pipeline import CompilerConfig, compile_binary
+from repro.frontend.parser import parse
+from repro.fuzz.corpus import iter_corpus, load_program, program_to_dict
+from repro.fuzz.oracles import ALL_LEVELS, REF_STEP_LIMIT, run_oracles
+from repro.fuzz.reference import Reference
+from repro.passes.expander import ExpanderConfig
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -35,6 +40,25 @@ def test_corpus_entry_passes_all_oracles(path, reports):
     for level in ALL_LEVELS:
         assert level in report.outputs, f"{path.name}: level {level} missing"
     assert report.outputs["ref"], f"{path.name}: program produced no output"
+
+
+@pytest.mark.parametrize("path", ENTRIES, ids=lambda p: p.stem)
+def test_corpus_entry_under_nospec_matches_the_reference(path):
+    """The ``nospec`` preset (static narrowing, no speculation) is not an
+    oracle level, but serve accepts it: every entry must compile under it
+    and print what the AST reference prints."""
+    program = load_program(path)
+    expander = (
+        ExpanderConfig() if program.expander_enabled else ExpanderConfig.disabled()
+    )
+    config = dataclasses.replace(CompilerConfig.nospec(), expander=expander)
+    binary = compile_binary(
+        program.source, config, profile_inputs=program.inputs_profile
+    )
+    expected = Reference(
+        parse(program.source), program.inputs_run, step_limit=REF_STEP_LIMIT
+    ).run()
+    assert binary.run(program.inputs_run).output == expected
 
 
 def test_corpus_exercises_misspeculation(reports):

@@ -184,6 +184,26 @@ def test_records_derived_for_a_sibling_reach_the_disk_cache(tmp_path):
     assert from_disk.total_energy == derived.total_energy
 
 
+def test_memoized_records_hold_no_memory_image(tmp_path):
+    """The memo keeps every record, so none keeps its 4 MB memory image:
+    a fresh run, a memo hit and a disk hit all come back without one."""
+    from repro.bench.cache import install_disk_cache
+
+    config = CompilerConfig.bitspec("max")
+    install_disk_cache(tmp_path)
+    try:
+        fresh = harness.run(WORKLOAD, config)
+        hit = harness.run(WORKLOAD, config)
+        harness.clear_caches()
+        from_disk = harness.run(WORKLOAD, config)
+    finally:
+        harness.set_disk_cache(None)
+    assert from_disk.binary is None  # answered by the disk cache
+    for record in (fresh, hit, from_disk):
+        assert record.sim.memory is None
+    assert hit.sim.output == from_disk.sim.output == fresh.sim.output
+
+
 def test_memoized_tracks_the_simulation_stage():
     config = CompilerConfig.bitspec("max")
     assert not harness.memoized(WORKLOAD, config)

@@ -20,14 +20,10 @@ from repro.workloads import get_workload
 
 
 def _squeezed_and_machine_outputs(source, config, profile, run, name="main"):
-    """The squeezed IR's and the machine's output on ``run``.
-
-    ``CompiledBinary.run`` writes the run inputs into the module's
-    globals, so each level gets its own compile.
-    """
-    interp = compile_binary(source, config, profile_inputs=profile, name=name)
-    machine = compile_binary(source, config, profile_inputs=profile, name=name)
-    return interp.interpret(dict(run)).output, machine.run(dict(run)).output
+    """The squeezed IR's and the machine's output on ``run``, from one
+    compile (neither level writes its inputs into the module)."""
+    binary = compile_binary(source, config, profile_inputs=profile, name=name)
+    return binary.interpret(dict(run)).output, binary.run(dict(run)).output
 
 
 @pytest.mark.xfail(

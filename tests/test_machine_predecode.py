@@ -17,9 +17,15 @@ is (engine × corpus program × config) and (engine × workload × config);
 runs are computed once per cell and memoized for the session — the deep
 cross-engine matrix over the full corpus lives in
 ``tests/test_engine_equivalence.py``.
+
+Every test here runs ``fast`` with each region translated on its first
+entry (the ``tier`` fixture at 0), and the corpus matrix runs again with
+the translated tier off (``math.inf``), so both tiers of ``fast`` answer
+to the other engines.
 """
 
 import dataclasses
+import math
 from pathlib import Path
 
 import pytest
@@ -44,6 +50,8 @@ CONFIGS = (
     CompilerConfig.bitspec("max"),
     CompilerConfig.thumb(),
 )
+
+pytestmark = pytest.mark.usefixtures("tier")
 
 
 def assert_sims_identical(sim: SimResult, ref: SimResult, label: str) -> None:
@@ -120,15 +128,26 @@ def _reference(key, binary, inputs) -> SimResult:
     return ref
 
 
-@pytest.mark.parametrize("name", CORPUS_PROGRAMS)
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
-def test_corpus_program_engines_identical(engine, name, config):
+def _check_corpus_cell(engine, name, config, tier):
     binary, inputs = _corpus_binary(name, config)
-    ref = _reference(("corpus", name, config.name), binary, inputs)
+    ref = _reference(("corpus", name, config.name, tier), binary, inputs)
     if inputs:
         set_global_inputs(binary.module, inputs)
     sim = Machine(binary.linked, binary.module, engine=engine).run()
     assert_engine_matches(sim, ref, engine, f"{name}/{config.name}/{engine}")
+
+
+@pytest.mark.parametrize("name", CORPUS_PROGRAMS)
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+def test_corpus_program_engines_identical(engine, name, config, tier):
+    _check_corpus_cell(engine, name, config, tier)
+
+
+@pytest.mark.parametrize("tier", [math.inf], indirect=True, ids=["untranslated"])
+@pytest.mark.parametrize("name", CORPUS_PROGRAMS)
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+def test_corpus_program_engines_identical_dispatch_loop(engine, name, config, tier):
+    _check_corpus_cell(engine, name, config, tier)
 
 
 @pytest.mark.parametrize("workload_name", WORKLOADS)

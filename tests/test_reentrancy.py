@@ -7,7 +7,9 @@ armed toolchain faults and compiler bends (``repro.faults.toolchain``) —
 is context-local: a thread's compile counts into its own scope and never
 sees another thread's armed fault.  A simulation takes its inputs
 without writing them into the binary's module, so threads can run one
-memoized binary on different inputs at once.
+memoized binary on different inputs at once, and share the regions its
+runs translate (:mod:`repro.arch.tier`, cached on the binary).  Serve's
+``execute_request`` is a pure function of the request under threads too.
 """
 
 import dataclasses
@@ -20,6 +22,10 @@ from repro.eval import harness
 from repro.faults.toolchain import bend_compiler, inject_compile_faults
 from repro.fuzz.generator import generate_program
 from repro.passes.expander import ExpanderConfig
+from repro.serve.loadtest import build_traffic
+from repro.serve.report import execute_request
+from repro.serve.schema import request_key, validate_request
+from repro.serve.server import canonical_body
 
 THREADS = 6
 
@@ -108,7 +114,7 @@ def _row(record) -> tuple:
     )
 
 
-def test_threads_share_memoized_binaries_across_run_inputs():
+def _shared_binary_cells():
     config = CompilerConfig.bitspec("max")
     cells = [
         (workload, kind, seed)
@@ -121,6 +127,11 @@ def test_threads_share_memoized_binaries_across_run_inputs():
         workload, kind, seed = cell
         return _row(harness.run(workload, config, run_kind=kind, run_seed=seed))
 
+    return config, cells, run
+
+
+def test_threads_share_memoized_binaries_across_run_inputs():
+    config, cells, run = _shared_binary_cells()
     harness.clear_caches()
     try:
         sequential = [run(cell) for cell in cells]
@@ -132,3 +143,38 @@ def test_threads_share_memoized_binaries_across_run_inputs():
         harness.clear_caches()
     for cell, got, want in zip(cells, concurrent, sequential):
         assert got == want, f"{cell}: threaded run differs from sequential"
+
+
+def test_threads_share_translated_regions(tier):
+    """12 threads run two fresh binaries with every region translated on
+    first entry, so they translate into, and run from, one cache."""
+    assert tier == 0
+    config, cells, run = _shared_binary_cells()
+    harness.clear_caches()
+    try:
+        sequential = [run(cell) for cell in cells]
+        harness.clear_caches()
+        binaries = [harness.get_binary(w, config) for w in ("crc32", "bitcount")]
+        concurrent = _in_threads(run, cells)
+    finally:
+        harness.clear_caches()
+    for binary in binaries:
+        assert binary.linked._tier_cache, "the runs translated nothing"
+    for cell, got, want in zip(cells, concurrent, sequential):
+        assert got == want, f"{cell}: threaded run differs from sequential"
+
+
+def test_concurrent_execute_requests_match_sequential_bytes():
+    """THREADS threads × 2 fuzz requests each through serve's
+    ``execute_request``: every body equals its sequential bytes."""
+    requests = [validate_request(doc) for doc in build_traffic(2 * THREADS, seed=7)]
+
+    def body(canonical):
+        return canonical_body(execute_request(canonical, request_key(canonical))["body"])
+
+    sequential = [body(c) for c in requests]
+    pairs = [requests[i::THREADS] for i in range(THREADS)]
+    concurrent = _in_threads(lambda pair: [body(c) for c in pair], pairs)
+    for i, bodies in enumerate(concurrent):
+        for j, got in enumerate(bodies):
+            assert got == sequential[i + j * THREADS], f"request {i + j * THREADS}"
